@@ -32,10 +32,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _load_transactions(path: str) -> list[ingest.Transaction]:
+def _load_transactions(path: str, keep_failed: bool) -> list[ingest.Transaction]:
     if path.endswith(".json"):
         with open(path, encoding="utf-8") as fh:
-            return ingest.parse_explorer_json(fh.read())
+            return ingest.parse_explorer_json(fh.read(), keep_failed)
     return ingest.read_csv(path)
 
 
@@ -97,7 +97,7 @@ def _report_lines(report, grids, account: str):
 
 def cmd_detect_batch(args) -> int:
     config = _engine_config(args)
-    transactions = _load_transactions(args.input)
+    transactions = _load_transactions(args.input, config.keep_failed)
     report = ensemble.run_batch(transactions, config)
     grids = ensemble.build_grids(transactions, config)
     # restrict the value lookup to the reported timeline
@@ -112,7 +112,7 @@ def cmd_detect_batch(args) -> int:
 
 def cmd_detect_stream(args) -> int:
     config = _engine_config(args)
-    transactions = _load_transactions(args.input)
+    transactions = _load_transactions(args.input, config.keep_failed)
     grids = ensemble.build_grids(transactions, config)
     n = len(next(iter(grids.values())))
     fit_cells = min(n, config.database_span // config.grid_step)

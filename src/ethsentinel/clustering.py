@@ -1,5 +1,5 @@
-"""Clustering detector bank: k-means distance scoring, DBSCAN noise
-labeling, and the one-class kernel machine detector."""
+"""Clustering detector bank: k-means distance scoring and DBSCAN noise
+labeling. The one-class kernel machine lives in ``kernels``."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .kernels import KernelSpec, one_class_decision, one_class_fit
+from .kernels import sq_dists
 
 NOISE = -1
 
@@ -33,21 +33,11 @@ class DbscanParams:
             raise DataError("min_pts must be >= 1")
 
 
-def _pairwise_sq(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    sq = (
-        np.sum(A * A, axis=1)[:, None]
-        + np.sum(B * B, axis=1)[None, :]
-        - 2.0 * (A @ B.T)
-    )
-    np.maximum(sq, 0.0, out=sq)
-    return sq
-
-
 def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = len(X)
     centroids = np.empty((k, X.shape[1]))
     centroids[0] = X[rng.integers(n)]
-    closest = _pairwise_sq(X, centroids[:1]).ravel()
+    closest = sq_dists(X, centroids[:1]).ravel()
     for c in range(1, k):
         total = closest.sum()
         if total == 0.0:
@@ -55,7 +45,7 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
             break
         probs = closest / total
         centroids[c] = X[rng.choice(n, p=probs)]
-        closest = np.minimum(closest, _pairwise_sq(X, centroids[c : c + 1]).ravel())
+        closest = np.minimum(closest, sq_dists(X, centroids[c : c + 1]).ravel())
     return centroids
 
 
@@ -63,7 +53,7 @@ def _lloyd(X: np.ndarray, centroids: np.ndarray, max_iter: int = 300):
     k = len(centroids)
     assignments = None
     for _ in range(max_iter):
-        dist = _pairwise_sq(X, centroids)
+        dist = sq_dists(X, centroids)
         new_assign = np.argmin(dist, axis=1)
         if assignments is not None and np.array_equal(new_assign, assignments):
             break
@@ -76,7 +66,7 @@ def _lloyd(X: np.ndarray, centroids: np.ndarray, max_iter: int = 300):
                 centroids[c] = X[worst]
             else:
                 centroids[c] = members.mean(axis=0)
-    dist = _pairwise_sq(X, centroids)
+    dist = sq_dists(X, centroids)
     assignments = np.argmin(dist, axis=1)
     inertia = float(dist[np.arange(len(X)), assignments].sum())
     return centroids, assignments, inertia
@@ -97,7 +87,7 @@ def kmeans_fit(X: np.ndarray, k: int, seed: int = 0, restarts: int = 4) -> KMean
         if best is None or inertia < best[1]:
             best = (centroids.copy(), inertia)
     centroids, inertia = best
-    train_dist = np.sqrt(_pairwise_sq(X, centroids).min(axis=1))
+    train_dist = np.sqrt(sq_dists(X, centroids).min(axis=1))
     threshold = float(np.quantile(train_dist, 0.99))
     return KMeansModel(
         centroids=centroids, k=k, train_distance_quantile=threshold, inertia=inertia
@@ -108,14 +98,14 @@ def kmeans_score(model: KMeansModel, x: np.ndarray) -> np.ndarray | float:
     """Euclidean distance to the nearest centroid."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
-    dist = np.sqrt(_pairwise_sq(np.atleast_2d(x), model.centroids).min(axis=1))
+    dist = np.sqrt(sq_dists(np.atleast_2d(x), model.centroids).min(axis=1))
     return float(dist[0]) if single else dist
 
 
 def silhouette_score(X: np.ndarray, labels: np.ndarray) -> float:
     """Mean silhouette over all points (O(n^2), caller subsamples)."""
     n = len(X)
-    dist = np.sqrt(_pairwise_sq(X, X))
+    dist = np.sqrt(sq_dists(X, X))
     uniq = np.unique(labels)
     if len(uniq) < 2:
         return 0.0
@@ -147,7 +137,7 @@ def select_k(
     best_k, best_score = k_min, -np.inf
     for k in range(k_min, k_max + 1):
         model = kmeans_fit(sample, k, seed=seed)
-        labels = np.argmin(_pairwise_sq(sample, model.centroids), axis=1)
+        labels = np.argmin(sq_dists(sample, model.centroids), axis=1)
         score = silhouette_score(sample, labels)
         if score > best_score:
             best_k, best_score = k, score
@@ -162,7 +152,7 @@ def dbscan(X: np.ndarray, params: DbscanParams) -> np.ndarray:
     n = len(X)
     eps_sq = params.eps**2
     # neighborhoods are inclusive: a point counts itself
-    dist = _pairwise_sq(X, X)
+    dist = sq_dists(X, X)
     neighbors = [np.flatnonzero(dist[i] <= eps_sq) for i in range(n)]
     core = np.array([len(nb) >= params.min_pts for nb in neighbors])
     labels = np.full(n, NOISE, dtype=np.int64)
@@ -191,21 +181,7 @@ def estimate_eps(X: np.ndarray, k: int) -> float:
     n = len(X)
     if n <= k:
         raise DataError("need more rows than k")
-    dist = np.sqrt(_pairwise_sq(X, X))
+    dist = np.sqrt(sq_dists(X, X))
     kth = np.sort(dist, axis=1)[:, k]  # column 0 is the point itself
     return float(np.quantile(kth, 0.95))
 
-
-def ocsvm_detect(
-    train: np.ndarray,
-    query: np.ndarray,
-    spec: KernelSpec | None = None,
-    nu: float = 0.05,
-):
-    """Fit the one-class machine on train, flag strictly negative
-    decisions on query. Returns (flags, decision values, model)."""
-    if spec is None:
-        spec = KernelSpec()
-    model = one_class_fit(np.atleast_2d(train), spec, nu)
-    decisions = np.atleast_1d(one_class_decision(model, np.atleast_2d(query)))
-    return decisions < 0.0, decisions, model

@@ -95,46 +95,6 @@ class EnsembleReport:
         return self.timestamps[self.alarm]
 
 
-def category_vote(verdicts: list[DetectorVerdict]) -> EnsembleReport:
-    """Strict-majority vote per category over a shared point set.
-
-    A category's decision at a point is true iff strictly more than
-    half of its voters flag it (even-count ties are non-anomalous);
-    the final alarm is an OR over category decisions.
-    """
-    if not verdicts:
-        raise DataError("need at least one verdict")
-    ts = verdicts[0].timestamps
-    for v in verdicts[1:]:
-        if not np.array_equal(v.timestamps, ts):
-            raise DataError("verdicts cover mismatched point sets")
-    seen = set()
-    for v in verdicts:
-        if v.detector_id in seen:
-            raise DataError(f"duplicate detector id {v.detector_id!r}")
-        seen.add(v.detector_id)
-    n = len(ts)
-    categories: dict[str, CategoryTally] = {}
-    for cat in DetectorCategory:
-        members = [v for v in verdicts if v.category is cat]
-        if not members:
-            continue
-        flagged = np.sum([v.flags.astype(int) for v in members], axis=0)
-        total = np.full(n, len(members))
-        categories[cat.value] = CategoryTally(
-            flagged=flagged, total=total, decision=flagged * 2 > total
-        )
-    alarm = np.zeros(n, dtype=bool)
-    for tally in categories.values():
-        alarm |= tally.decision
-    flagging = [
-        [v.detector_id for v in verdicts if v.flags[i]] for i in range(n)
-    ]
-    return EnsembleReport(
-        timestamps=ts, categories=categories, alarm=alarm, flagging_detectors=flagging
-    )
-
-
 @dataclass(frozen=True)
 class FittedDetector:
     detector_id: str
@@ -230,7 +190,7 @@ def _fit_predictive(kind: str, train: np.ndarray, config: EngineConfig, seed: in
         if k >= len(X):
             raise FitError("not enough training pairs for k-NN")
         # leave-self-out residuals, else in-sample RMS degenerates to 0
-        dist = _sq_dists(X, X)
+        dist = kernels.sq_dists(X, X)
         np.fill_diagonal(dist, np.inf)
         preds = _knn_mean_targets(dist, y, k)
         return {"X": X, "y": y, "lags": lags, "k": k, "rms": rms(y - preds)}
@@ -273,14 +233,6 @@ def _fit_predictive(kind: str, train: np.ndarray, config: EngineConfig, seed: in
             noise = rms(y - kernels.kernel_ridge_predict(model, X))
         return {"model": model, "lags": lags, "rms": noise}
     raise DataError(f"unknown predictive detector {kind!r}")
-
-
-def _sq_dists(A, B):
-    return (
-        np.sum(A * A, axis=1)[:, None]
-        + np.sum(B * B, axis=1)[None, :]
-        - 2.0 * (A @ B.T)
-    )
 
 
 def _knn_mean_targets(sq_dists: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
@@ -355,7 +307,7 @@ def _score_rows(kind: str, payload: dict, rows: np.ndarray) -> np.ndarray:
     if kind == "dbscan":
         # density rule against the reference database: a row with fewer
         # than min_pts neighbors within eps (itself included) is noise
-        sq = _sq_dists(std_rows, payload["reference"])
+        sq = kernels.sq_dists(std_rows, payload["reference"])
         counts = np.sum(sq <= payload["eps"] ** 2, axis=1) + 1
         return counts < payload["min_pts"]
     if kind == "ocsvm":
@@ -486,7 +438,7 @@ def _predictive_point_flags(
     contexts = np.stack([values[t - lags : t] for t in range(lo, n)])
     actuals = values[lo:]
     if kind == "knn":
-        dist = _sq_dists(contexts, payload["X"])
+        dist = kernels.sq_dists(contexts, payload["X"])
         preds = _knn_mean_targets(dist, payload["y"], payload["k"])
     elif kind == "cart":
         preds = np.array([predictive.cart_predict(payload["model"], c) for c in contexts])

@@ -1,5 +1,6 @@
 """Kernel functions, Gram matrices, kernel ridge regression and the
-nu-one-class kernel machine behind the OCSVM detector.
+nu-one-class kernel machine behind the OCSVM detector. ``sq_dists`` is
+the package's one pairwise squared-distance helper.
 
 The one-class dual (minimize 0.5*a'Ga s.t. 0 <= a_i <= 1/(nu*n),
 sum a = 1) is solved by most-violating-pair coordinate descent. The
@@ -15,7 +16,6 @@ import numpy as np
 
 from .errors import DataError, NumericError
 
-from ._hot import COMPILED as COMPILED_SOLVER
 from ._hot import smo_solve
 
 LINEAR = "linear"
@@ -55,18 +55,16 @@ def resolve_gamma(spec: KernelSpec, X: np.ndarray) -> float:
     return 1.0 / (X.shape[1] * var)
 
 
-def kernel_eval(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise DataError("kernel arguments must share a dimension")
-    if spec.kind == LINEAR:
-        return float(np.dot(x, y))
-    if spec.kind == POLYNOMIAL:
-        return float((np.dot(x, y) + spec.coef0) ** spec.degree)
-    gamma = spec.gamma if spec.gamma is not None else 1.0 / max(len(x), 1)
-    d = x - y
-    return float(np.exp(-gamma * np.dot(d, d)))
+def sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of A and B, clamped
+    at zero: the expanded form rounds below it for near-duplicate rows."""
+    sq = (
+        np.sum(A * A, axis=1)[:, None]
+        + np.sum(B * B, axis=1)[None, :]
+        - 2.0 * (A @ B.T)
+    )
+    np.maximum(sq, 0.0, out=sq)
+    return sq
 
 
 def kernel_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray, gamma: float | None = None) -> np.ndarray:
@@ -81,13 +79,7 @@ def kernel_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray, gamma: float |
         return (X @ Y.T + spec.coef0) ** spec.degree
     if gamma is None:
         gamma = spec.gamma if spec.gamma is not None else 1.0 / X.shape[1]
-    sq = (
-        np.sum(X * X, axis=1)[:, None]
-        + np.sum(Y * Y, axis=1)[None, :]
-        - 2.0 * (X @ Y.T)
-    )
-    np.maximum(sq, 0.0, out=sq)
-    return np.exp(-gamma * sq)
+    return np.exp(-gamma * sq_dists(X, Y))
 
 
 def gram(spec: KernelSpec, X: np.ndarray, gamma: float | None = None) -> np.ndarray:

@@ -1,5 +1,5 @@
 """Predictive detector bank: S/ARIMA forecasting, seasonal-trend
-decomposition, k-NN and CART regression, and residual thresholding.
+decomposition, k-NN lag pairs, CART regression, and residual thresholding.
 
 ARMA coefficients follow the sign convention
 x_t = c + phi_1 x_{t-1} + ... - theta_1 e_{t-1} - ...  (lagged errors
@@ -475,19 +475,6 @@ def _lag_pairs(train: np.ndarray, lags: int) -> tuple[np.ndarray, np.ndarray]:
         X[:, i] = train[i : i + n_pairs]
     y = train[lags:]
     return X, y
-
-
-def knn_forecast(train: np.ndarray, lags: int, k: int, context: np.ndarray) -> float:
-    """Mean target of the k nearest lag vectors (earlier index wins ties)."""
-    if k < 1:
-        raise DataError("k must be >= 1")
-    X, y = _lag_pairs(train, lags)
-    if k > len(X):
-        raise DataError("k exceeds the number of training pairs")
-    context = np.asarray(context, dtype=np.float64)
-    dist = np.sqrt(np.sum((X - context) ** 2, axis=1))
-    nearest = np.argsort(dist, kind="stable")[:k]
-    return float(y[nearest].mean())
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ All standard deviations use the population (1/n) convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,20 +52,6 @@ class TimeSeries:
         return len(self.timestamps)
 
 
-@dataclass(frozen=True)
-class Window:
-    """A contiguous slice of a time-domain series."""
-
-    start: int
-    duration: int
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.duration <= 0:
-            raise DataError("window duration must be positive")
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-
-
 def merge_cooccurring(series: TimeSeries) -> TimeSeries:
     """Sum values that share an identical timestamp (point summation)."""
     if series.step is not None:
@@ -102,65 +88,6 @@ def resample(series: TimeSeries, step: int) -> TimeSeries:
     values = np.zeros(n_cells)
     np.add.at(values, cells, series.values)
     return TimeSeries(grid_ts, values, step=step)
-
-
-def sliding_windows(series: TimeSeries, duration: int, stride: int) -> list[Window]:
-    """Overlapping windows over a time-domain grid.
-
-    A point belongs to several windows when stride < duration.
-    """
-    if series.step is None:
-        raise DataError("sliding_windows expects a time-domain series")
-    step = series.step
-    if duration <= 0 or stride <= 0 or duration % step or stride % step:
-        raise DataError("duration and stride must be positive multiples of the grid step")
-    w = duration // step
-    s = stride // step
-    n = len(series)
-    if w > n:
-        return []
-    windows = []
-    for i in range(0, n - w + 1, s):
-        windows.append(
-            Window(int(series.timestamps[i]), duration, series.values[i : i + w])
-        )
-    return windows
-
-
-def split_train_test(series: TimeSeries, ratio: float) -> tuple[TimeSeries, TimeSeries]:
-    """Chronological prefix/suffix split; no shuffling."""
-    if not 0 < ratio < 1:
-        raise DataError("ratio must be in (0, 1)")
-    n = len(series)
-    if n < 2:
-        raise DataError("need at least 2 points to split")
-    cut = int(round(ratio * n))
-    cut = min(max(cut, 1), n - 1)
-    head = TimeSeries(series.timestamps[:cut], series.values[:cut], step=series.step)
-    tail = TimeSeries(series.timestamps[cut:], series.values[cut:], step=series.step)
-    return head, tail
-
-
-def difference(values: np.ndarray, d: int) -> np.ndarray:
-    """Apply first differencing d times; length shrinks by d."""
-    values = np.asarray(values, dtype=np.float64)
-    if d < 0:
-        raise DataError("differencing order must be non-negative")
-    if len(values) <= d:
-        raise DataError("series too short for differencing order")
-    for _ in range(d):
-        values = np.diff(values)
-    return values
-
-
-def seasonal_difference(values: np.ndarray, D: int, s: int) -> np.ndarray:
-    """Apply lag-s differencing D times."""
-    values = np.asarray(values, dtype=np.float64)
-    if len(values) <= D * s:
-        raise DataError("series too short for seasonal differencing")
-    for _ in range(D):
-        values = values[s:] - values[:-s]
-    return values
 
 
 def acf(values: np.ndarray, max_lag: int) -> np.ndarray:

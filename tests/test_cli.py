@@ -15,6 +15,8 @@ clustering_detectors = kmeans
 kmeans_k = 2
 """
 
+EXPLORER_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "explorer_fixture.json")
+
 SMALL_SYNTH_CFG = """
 duration = 14400
 base_rate = 6
@@ -87,6 +89,26 @@ def test_detect_stream_replay(workspace):
         assert rec["alarm"] is True
         hit = hit or abs(rec["ts"] - label) <= 120
     assert hit
+
+
+def test_keep_failed_key_drops_failed_records(workspace):
+    ws = workspace
+    with open(EXPLORER_FIXTURE, encoding="utf-8") as fh:
+        failed = [int(r["timeStamp"]) for r in json.load(fh)["result"] if r["isError"] == "1"]
+    assert len(failed) == 2
+    cells = {t - t % 60 for t in failed}  # the fixture has nothing else in these cells
+    values = {}
+    for keep in ("yes", "no"):
+        cfg = ws / f"keep_{keep}.cfg"
+        cfg.write_text(SMALL_ENGINE_CFG + f"keep_failed = {keep}\n", encoding="utf-8")
+        out = ws / f"report_{keep}.jsonl"
+        assert run(
+            "detect", "batch", "--input", EXPLORER_FIXTURE, "--config", cfg, "--out", out
+        ) == 0
+        records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+        values[keep] = [float(r["features"]["value"]) for r in records if r["ts"] in cells]
+    assert len(values["yes"]) == 2 and all(v > 0.0 for v in values["yes"])
+    assert values["no"] == [0.0, 0.0]
 
 
 def test_synth_determinism(workspace):

@@ -10,11 +10,11 @@ from ethsentinel.clustering import (
     estimate_eps,
     kmeans_fit,
     kmeans_score,
-    ocsvm_detect,
     select_k,
     silhouette_score,
 )
 from ethsentinel.errors import DataError
+from ethsentinel.kernels import KernelSpec, one_class_decision, one_class_fit
 from oracles import NOISE, naive_dbscan, same_partition
 
 
@@ -94,11 +94,13 @@ def test_select_k_finds_three_clusters():
     assert select_k(X, seed=0) == 3
 
 
-def test_ocsvm_detect_flags_far_point():
+def test_one_class_flags_far_point():
     rng = np.random.default_rng(7)
     train = rng.standard_normal((150, 2))
     query = np.vstack([train[:10], [[8.0, 8.0]]])
-    flags, decisions, model = ocsvm_detect(train, query, nu=0.1)
+    model = one_class_fit(train, KernelSpec(), 0.1)
+    decisions = one_class_decision(model, query)
+    flags = decisions < 0.0
     assert flags[-1]  # far point flagged
     assert decisions[-1] < 0
     assert np.mean(flags[:10]) <= 0.4  # most training points pass

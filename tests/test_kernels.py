@@ -13,13 +13,13 @@ from ethsentinel.errors import DataError
 from ethsentinel.kernels import (
     KernelSpec,
     gram,
-    kernel_eval,
     kernel_matrix,
     kernel_ridge_fit,
     kernel_ridge_predict,
     one_class_decision,
     one_class_fit,
     resolve_gamma,
+    sq_dists,
 )
 
 
@@ -27,13 +27,26 @@ def dual_objective(G, a):
     return 0.5 * float(a @ G @ a)
 
 
-def test_kernel_eval_matches_closed_form():
+def test_kernel_matrix_matches_closed_form():
     spec = KernelSpec(gamma=0.3)
-    x = np.array([1.0, 2.0])
-    y = np.array([-1.0, 0.5])
+    x = np.array([[1.0, 2.0]])
+    y = np.array([[-1.0, 0.5]])
     expected = math.exp(-0.3 * ((1 + 1) ** 2 + 1.5**2))
-    assert kernel_eval(spec, x, y) == pytest.approx(expected, rel=1e-15)
-    assert kernel_eval(spec, x, x) == 1.0
+    assert kernel_matrix(spec, x, y)[0, 0] == pytest.approx(expected, rel=1e-15)
+    assert kernel_matrix(spec, x, x)[0, 0] == 1.0
+
+
+def test_squared_distances_non_negative_on_near_duplicates():
+    rng = np.random.default_rng(5)
+    A = 1e3 + rng.standard_normal((40, 4))
+    B = A + 1e-9 * rng.standard_normal(A.shape)
+    # the expanded form |a|^2 + |b|^2 - 2ab cancels to rounding noise here
+    raw = np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :] - 2.0 * (A @ B.T)
+    assert raw.min() < 0.0
+    sq = sq_dists(A, B)
+    assert sq.min() >= 0.0
+    off = ~np.eye(len(A), dtype=bool)
+    assert np.array_equal(sq[off], raw[off])
 
 
 def test_gram_symmetry_and_unit_diagonal():

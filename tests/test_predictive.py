@@ -7,9 +7,13 @@ import math
 import numpy as np
 import pytest
 
+from ethsentinel.config import EngineConfig
+from ethsentinel.ensemble import _fit_predictive, _knn_mean_targets
 from ethsentinel.errors import DataError, FitError
+from ethsentinel.kernels import sq_dists
 from ethsentinel.predictive import (
     ArimaOrder,
+    _lag_pairs,
     aic,
     arima_fit,
     arima_forecast_one_step,
@@ -17,7 +21,6 @@ from ethsentinel.predictive import (
     cart_fit,
     cart_predict,
     grid_search_order,
-    knn_forecast,
     residual_threshold_detect,
     select_order_aic,
     stl_decompose,
@@ -134,14 +137,16 @@ def test_stl_requires_two_periods():
         stl_decompose(np.arange(20.0), 12)
 
 
-def test_knn_forecast_hand_example():
+def test_knn_mean_targets_hand_example():
     # train 1,2,3,4,5,6 with lags=2: pairs ([1,2]->3, [2,3]->4, [3,4]->5, [4,5]->6)
     train = np.arange(1.0, 7.0)
-    # context [3,4]: nearest pair is itself -> 5; k=2 adds [2,3]->4 or [4,5]->6 (tie to earlier)
-    assert knn_forecast(train, 2, 1, np.array([3.0, 4.0])) == 5.0
-    assert knn_forecast(train, 2, 2, np.array([3.0, 4.0])) == pytest.approx(4.5)
-    with pytest.raises(DataError):
-        knn_forecast(train, 2, 10, np.array([3.0, 4.0]))
+    X, y = _lag_pairs(train, 2)
+    # context [3, 4.2]: nearest pair [3,4]->5, then [4,5]->6 (no distance ties)
+    dist = sq_dists(np.array([[3.0, 4.2]]), X)
+    assert _knn_mean_targets(dist, y, 1).tolist() == [5.0]
+    assert _knn_mean_targets(dist, y, 2).tolist() == [5.5]
+    with pytest.raises(FitError):
+        _fit_predictive("knn", train, EngineConfig(knn_lags=2, knn_k=10), seed=0)
 
 
 def exhaustive_best_split(X, y, min_leaf):

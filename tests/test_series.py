@@ -1,6 +1,6 @@
-"""Series primitives: merge, resample, windows, splits, ACF, period
-estimation. Oracles are computed independently (direct summation, DFT)
-before comparison."""
+"""Series primitives: merge, resample, window extraction, differencing,
+ACF, period estimation. Oracles are computed independently (direct
+summation, DFT) before comparison."""
 
 import math
 
@@ -9,20 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ethsentinel.ensemble import _window_matrix
 from ethsentinel.errors import DataError
+from ethsentinel.predictive import ArimaOrder, _apply_differencing
 from ethsentinel.series import (
     ACF_METHOD,
     PERIODOGRAM_METHOD,
     TimeSeries,
     acf,
-    difference,
     estimate_period,
     merge_cooccurring,
     resample,
     rms,
-    seasonal_difference,
-    sliding_windows,
-    split_train_test,
     standardize,
 )
 
@@ -71,31 +69,24 @@ def test_resample_preserves_total_mass(points, step):
     assert np.all(np.diff(grid.timestamps) == step)
 
 
-def test_sliding_windows_overlap_membership():
-    grid = TimeSeries(60 * np.arange(10), np.arange(10.0), step=60)
-    windows = sliding_windows(grid, duration=300, stride=60)
+def test_window_matrix_overlap_membership():
+    matrix, starts = _window_matrix(np.arange(10.0), 5, 1)
     # 10 cells, 5-cell windows, stride 1 -> 6 windows
-    assert len(windows) == 6
-    assert windows[0].values.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert len(matrix) == 6
+    assert matrix[0].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
     # cell 4 appears in windows starting at 0..4 (5 windows)
-    containing = [w for w in windows if w.start <= 240 < w.start + w.duration]
+    containing = [s for s in starts if s <= 4 < s + 5]
     assert len(containing) == 5
-
-
-def test_split_is_chronological():
-    grid = TimeSeries(np.arange(10), np.arange(10.0))
-    head, tail = split_train_test(grid, 0.7)
-    assert len(head) == 7 and len(tail) == 3
-    assert head.values.tolist() == list(range(7))
 
 
 def test_difference_orders():
     x = np.array([1.0, 4.0, 9.0, 16.0, 25.0])
-    assert difference(x, 1).tolist() == [3.0, 5.0, 7.0, 9.0]
-    assert difference(x, 2).tolist() == [2.0, 2.0, 2.0]
-    assert seasonal_difference(np.arange(8.0), 1, 4).tolist() == [4.0, 4.0, 4.0, 4.0]
+    assert _apply_differencing(x, ArimaOrder(0, 1, 0))[-1].tolist() == [3.0, 5.0, 7.0, 9.0]
+    assert _apply_differencing(x, ArimaOrder(0, 2, 0))[-1].tolist() == [2.0, 2.0, 2.0]
+    seasonal = ArimaOrder(0, 0, 0, (0, 1, 0, 4))
+    assert _apply_differencing(np.arange(8.0), seasonal)[-1].tolist() == [4.0, 4.0, 4.0, 4.0]
     with pytest.raises(DataError):
-        difference(x, 5)
+        _apply_differencing(x, ArimaOrder(0, 5, 0))
 
 
 def test_acf_matches_direct_summation():
