@@ -16,6 +16,7 @@ import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import clustering, kernels, predictive, reduction
 from .config import BOTH, MULTIVARIATE, UNIVARIATE, EngineConfig
@@ -121,20 +122,25 @@ def build_grids(transactions, config: EngineConfig) -> dict[str, TimeSeries]:
     return grids
 
 
-def _window_matrix(values: np.ndarray, w: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
-    """(matrix of flattened windows, start indices).
+def _window_matrix(
+    values: np.ndarray, w: int, stride: int, first: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(matrix of flattened windows, start indices) for the windows on
+    the stride grid that start at or after ``first``.
 
     ``values`` may be a 1-D series or an (n, d) row matrix; a window of
-    d-column rows flattens to a w*d vector. Empty when the series is
-    shorter than one window.
+    d-column rows flattens to a w*d vector. Only the requested windows
+    are copied out of a strided view of ``values``.
     """
     n = len(values)
     width = w * (values.shape[1] if values.ndim == 2 else 1)
-    if n < w:
+    starts = np.arange(-(-first // stride) * stride, n - w + 1, stride)
+    if len(starts) == 0:
         return np.empty((0, width)), np.empty(0, dtype=int)
-    starts = np.arange(0, n - w + 1, stride)
-    matrix = np.stack([np.ravel(values[s : s + w]) for s in starts])
-    return matrix, starts
+    view = sliding_window_view(values, w, axis=0)
+    if values.ndim == 2:
+        view = view.transpose(0, 2, 1)  # (start, cell, column): rows stay row-major
+    return view[starts].reshape(len(starts), width), starts
 
 
 def _apply_standardize(matrix, mean, std):
@@ -325,18 +331,40 @@ def fit_bank(
     grids: dict[str, TimeSeries],
     config: EngineConfig,
     predictive_train_cells: int | None = None,
+    previous: list[FittedDetector] | None = None,
 ) -> tuple[list[FittedDetector], list[str]]:
     """Fit every configured detector on every applicable group.
 
     ``predictive_train_cells`` limits the predictive fits to a
     chronological prefix (batch mode); None trains on everything
     (streaming retrain). Per-detector failures become warnings, not
-    errors, as long as the bank retains voters.
+    errors; a detector that fails keeps its model from ``previous``,
+    if it has one there, at its place in the bank.
     """
     detectors: list[FittedDetector] = []
     warnings: list[str] = []
+    kept = {det.detector_id: det for det in previous or ()}
     w_cells = config.window_duration // config.grid_step
     s_cells = config.window_stride // config.grid_step
+
+    def add(kind, group, fit, window_cells=None):
+        detector_id = f"{kind}:{group}"
+        try:
+            payload = fit(_detector_seed(config.seed, kind, group))
+        except (DataError, FitError, NumericError) as exc:
+            warnings.append(f"{detector_id}: fit failed: {exc}")
+            if detector_id in kept:
+                detectors.append(kept[detector_id])
+            return
+        if window_cells is not None:
+            payload["window_cells"] = window_cells
+            payload["stride_cells"] = s_cells
+        detectors.append(FittedDetector(detector_id, kind, KIND_CATEGORY[kind], group, payload))
+
+    def fit_windows(kind, matrix, seed):
+        if len(matrix) < 10:
+            raise FitError("too few windows")
+        return _fit_row_detector(kind, matrix, config, seed)
 
     univariate = config.mode in (UNIVARIATE, BOTH)
     multivariate = config.mode in (MULTIVARIATE, BOTH)
@@ -346,56 +374,23 @@ def fit_bank(
             values = grid.values
             train = values if predictive_train_cells is None else values[:predictive_train_cells]
             for kind in config.predictive_detectors:
-                seed = _detector_seed(config.seed, kind, name)
-                try:
-                    payload = _fit_predictive(kind, train, config, seed)
-                except (DataError, FitError, NumericError) as exc:
-                    warnings.append(f"{kind}:{name}: fit failed: {exc}")
-                    continue
-                detectors.append(
-                    FittedDetector(f"{kind}:{name}", kind, KIND_CATEGORY[kind], name, payload)
-                )
-            window_train, _ = _window_matrix(values, w_cells, s_cells)
-            ae_train_matrix, _ = _window_matrix(values, config.ae_window, s_cells)
+                add(kind, name, lambda seed: _fit_predictive(kind, train, config, seed))
+            window_train, _ = _window_matrix(values, w_cells, s_cells, 0)
+            ae_train_matrix, _ = _window_matrix(values, config.ae_window, s_cells, 0)
             for kind in (*config.clustering_detectors, *config.reduction_detectors):
-                seed = _detector_seed(config.seed, kind, name)
-                matrix = ae_train_matrix if kind == "ae" else window_train
-                if len(matrix) < 10:
-                    warnings.append(f"{kind}:{name}: fit failed: too few windows")
-                    continue
-                try:
-                    payload = _fit_row_detector(kind, matrix, config, seed)
-                except (DataError, FitError, NumericError) as exc:
-                    warnings.append(f"{kind}:{name}: fit failed: {exc}")
-                    continue
-                payload["window_cells"] = config.ae_window if kind == "ae" else w_cells
-                payload["stride_cells"] = s_cells
-                detectors.append(
-                    FittedDetector(f"{kind}:{name}", kind, KIND_CATEGORY[kind], name, payload)
-                )
+                if kind == "ae":
+                    matrix, window_cells = ae_train_matrix, config.ae_window
+                else:
+                    matrix, window_cells = window_train, w_cells
+                add(kind, name, lambda seed: fit_windows(kind, matrix, seed), window_cells)
 
     if multivariate and len(config.features) > 1:
         rows = np.column_stack([grids[name].values for name in config.features])
-        matrix, _ = _window_matrix(rows, w_cells, s_cells)
+        matrix, _ = _window_matrix(rows, w_cells, s_cells, 0)
         for kind in (*config.clustering_detectors, *config.reduction_detectors):
             if kind == "ae":
                 continue  # the autoencoder is wired univariate (windowed)
-            seed = _detector_seed(config.seed, kind, MULTI_GROUP)
-            if len(matrix) < 10:
-                warnings.append(f"{kind}:{MULTI_GROUP}: fit failed: too few windows")
-                continue
-            try:
-                payload = _fit_row_detector(kind, matrix, config, seed)
-            except (DataError, FitError, NumericError) as exc:
-                warnings.append(f"{kind}:{MULTI_GROUP}: fit failed: {exc}")
-                continue
-            payload["window_cells"] = w_cells
-            payload["stride_cells"] = s_cells
-            detectors.append(
-                FittedDetector(
-                    f"{kind}:{MULTI_GROUP}", kind, KIND_CATEGORY[kind], MULTI_GROUP, payload
-                )
-            )
+            add(kind, MULTI_GROUP, lambda seed: fit_windows(kind, matrix, seed), w_cells)
     return detectors, warnings
 
 
@@ -453,28 +448,30 @@ def _predictive_point_flags(
 
 
 def _window_point_flags(
-    det: FittedDetector, values: np.ndarray, start: int, vote: str = "majority"
+    det: FittedDetector, values: np.ndarray, start: int, vote: str
 ) -> np.ndarray:
     """Flags for cells [start, n) by voting over the windows covering
-    each point: "any" / "majority" (strict) / "all" flagged windows."""
+    each point: "any" / "majority" (strict) / "all" flagged windows.
+    Only windows that cover a cell of [start, n) are built and scored."""
     n = len(values)
     w = det.payload["window_cells"]
     stride = det.payload["stride_cells"]
-    flags = np.zeros(n - start, dtype=bool)
-    first_start = max(0, start - w + 1)
-    matrix, starts = _window_matrix(values, w, stride)
-    use = starts >= first_start
-    if not use.any():
-        return flags
-    window_flags = _score_rows(det.kind, det.payload, matrix[use])
-    covering = np.zeros(n - start, dtype=int)
-    flagged = np.zeros(n - start, dtype=int)
-    for s, f in zip(starts[use], window_flags):
-        lo = max(s, start) - start
-        hi = s + w - start
-        covering[lo:hi] += 1
-        if f:
-            flagged[lo:hi] += 1
+    matrix, starts = _window_matrix(values, w, stride, max(0, start - w + 1))
+    if len(starts) == 0:
+        return np.zeros(n - start, dtype=bool)
+    window_flags = _score_rows(det.kind, det.payload, matrix)
+    # each window covers cells [lo, hi) of the scored range: +1 at lo,
+    # -1 at hi, and a running sum gives the per-cell counts
+    lo = np.maximum(starts, start) - start
+    hi = starts + w - start
+    covering = np.zeros(n - start + 1, dtype=int)
+    flagged = np.zeros(n - start + 1, dtype=int)
+    np.add.at(covering, lo, 1)
+    np.add.at(covering, hi, -1)
+    np.add.at(flagged, lo[window_flags], 1)
+    np.add.at(flagged, hi[window_flags], -1)
+    covering = np.cumsum(covering[:-1])
+    flagged = np.cumsum(flagged[:-1])
     if vote == "any":
         return flagged > 0
     if vote == "all":
@@ -671,15 +668,17 @@ def _evict(grids: dict[str, TimeSeries], config: EngineConfig) -> dict[str, Time
 
 
 def retrain(engine: StreamEngine) -> None:
-    """Refit every detector on the current reference database."""
+    """Refit every detector on the current reference database. A
+    detector whose refit fails keeps its previous model, and the
+    failure is added to the engine's warnings."""
     if not engine.grids or len(next(iter(engine.grids.values()))) == 0:
         raise DataError("cannot retrain on an empty database")
-    detectors, warnings = fit_bank(engine.grids, engine.config, predictive_train_cells=None)
-    if not detectors:
-        raise FitError(f"every detector failed to fit: {warnings}")
-    engine.detectors = detectors
-    engine.warnings = warnings
-    engine.last_retrain = int(next(iter(engine.grids.values())).timestamps[-1])
+    now = int(next(iter(engine.grids.values())).timestamps[-1])
+    engine.detectors, warnings = fit_bank(
+        engine.grids, engine.config, predictive_train_cells=None, previous=engine.detectors
+    )
+    engine.warnings.extend(f"retrain at {now}: {warning}" for warning in warnings)
+    engine.last_retrain = now
 
 
 def stream_advance(engine: StreamEngine, new_points: dict[str, TimeSeries]) -> list[Alarm]:

@@ -451,14 +451,19 @@ def stl_decompose(values: np.ndarray, period: int) -> Decomposition:
     trend[:half] = trend[half]
     trend[half + len(valid):] = trend[half + len(valid) - 1]
 
-    # Per-phase means use only positions where the centered average is
-    # defined; the edge-filled trend would bias them.
-    interior = np.zeros(n, dtype=bool)
-    interior[half : half + len(valid)] = True
+    # Per-phase means use only the interior positions [half, half +
+    # len(valid)), where the centered average is defined; the
+    # edge-filled trend would bias them. Phases have one of two interior
+    # counts: gather the phases of each count as rows of positions in
+    # increasing order and sum along the rows.
     detrended = x - trend
-    phase_means = np.array(
-        [detrended[phase::period][interior[phase::period]].mean() for phase in range(period)]
-    )
+    phase_count = np.bincount(np.arange(half, half + len(valid)) % period, minlength=period)
+    phase_means = np.empty(period)
+    for count in np.unique(phase_count):
+        phases = np.flatnonzero(phase_count == count)
+        first = half + (phases - half) % period
+        rows = detrended[first[:, None] + period * np.arange(count)]
+        phase_means[phases] = rows.sum(axis=1) / count
     phase_means -= phase_means.mean()
     seasonal = np.tile(phase_means, n // period + 1)[:n]
     residual = x - trend - seasonal

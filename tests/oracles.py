@@ -48,3 +48,33 @@ def same_partition(a, b):
         if mapping.setdefault(x, y) != y:
             return False
     return len(set(mapping.values())) == len(mapping)
+
+
+def naive_window_matrix(values, w, stride):
+    """Reference windowing: every start on the stride grid, one
+    flattened slice each."""
+    n = len(values)
+    width = w * (values.shape[1] if values.ndim == 2 else 1)
+    if n < w:
+        return np.empty((0, width)), np.empty(0, dtype=int)
+    starts = np.arange(0, n - w + 1, stride)
+    return np.stack([np.ravel(values[s : s + w]) for s in starts]), starts
+
+
+def naive_point_flags(window_flags, starts, w, n, start, vote):
+    """Reference point vote over cells [start, n): count the windows
+    covering each cell and the flagged ones among them, one window at
+    a time."""
+    covering = np.zeros(n - start, dtype=int)
+    flagged = np.zeros(n - start, dtype=int)
+    for s, f in zip(starts, window_flags):
+        lo = max(s, start) - start
+        hi = s + w - start
+        covering[lo:hi] += 1
+        if f:
+            flagged[lo:hi] += 1
+    if vote == "any":
+        return flagged > 0
+    if vote == "all":
+        return (covering > 0) & (flagged == covering)
+    return flagged * 2 > covering

@@ -16,7 +16,7 @@ from ethsentinel.ensemble import (
     run_batch,
     stream_advance,
 )
-from ethsentinel.errors import DataError
+from ethsentinel.errors import DataError, FitError
 from ethsentinel.series import TimeSeries
 
 
@@ -157,8 +157,8 @@ def test_run_batch_rejects_empty_inputs():
         run_batch(txs, config)
 
 
-def stream_fixture(seed=4):
-    config = small_config(database_span=2 * 3600, retrain_interval=2 * 3600)
+def stream_fixture(seed=4, retrain_interval=2 * 3600):
+    config = small_config(database_span=2 * 3600, retrain_interval=retrain_interval)
     txs, _ = small_stream(seed=seed, duration=3 * 3600)
     grids = build_grids(txs, config)
     fit_cells = config.database_span // config.grid_step
@@ -264,6 +264,73 @@ def test_stream_alarms_deduplicated():
         for alarm in advance_one(engine, grids, i):
             assert alarm.timestamp not in seen
             seen.add(alarm.timestamp)
+
+
+def test_stream_tick_builds_only_windows_covering_new_cells(monkeypatch):
+    engine, grids, fit_cells = stream_fixture()
+    built = []
+    window_matrix = ensemble._window_matrix
+
+    def counting(values, w, *args):
+        matrix, starts = window_matrix(values, w, *args)
+        built.append((w, len(matrix)))
+        return matrix, starts
+
+    monkeypatch.setattr(ensemble, "_window_matrix", counting)
+    clock = engine.last_retrain
+    advance_one(engine, grids, fit_cells)
+    assert engine.last_retrain == clock  # an ordinary tick: scoring only
+    window_detectors = [d for d in engine.detectors if d.category is not P]
+    assert len(built) == len(window_detectors)
+    # a one-cell tick needs at most the w windows that cover that cell,
+    # not every window of the database
+    for w, rows in built:
+        assert 0 < rows <= w
+
+
+def fail_refits(monkeypatch, failing):
+    """Make the refits of the kinds in ``failing`` raise FitError."""
+    for name in ("_fit_predictive", "_fit_row_detector"):
+        original = getattr(ensemble, name)
+
+        def fit(kind, *args, original=original):
+            if kind in failing:
+                raise FitError("refit failed on purpose")
+            return original(kind, *args)
+
+        monkeypatch.setattr(ensemble, name, fit)
+
+
+def retrain_tick(engine, grids, fit_cells):
+    before = list(engine.detectors)
+    clock = engine.last_retrain
+    advance_one(engine, grids, fit_cells)
+    assert engine.last_retrain == clock + 60  # the retrain clock advances
+    return before
+
+
+def test_stream_survives_retrain_where_every_refit_fails(monkeypatch):
+    engine, grids, fit_cells = stream_fixture(retrain_interval=60)
+    fail_refits(monkeypatch, set(ensemble.KIND_CATEGORY))
+    before = retrain_tick(engine, grids, fit_cells)
+    # every detector keeps its previous model, in the bank's order
+    assert len(engine.detectors) == len(before)
+    assert all(a is b for a, b in zip(engine.detectors, before))
+    failed = [w for w in engine.warnings if "refit failed on purpose" in w]
+    assert len(failed) == len(before)
+    # the next ordinary tick scores with the kept bank
+    advance_one(engine, grids, fit_cells + 1)
+
+
+def test_retrain_keeps_previous_model_of_a_failed_detector(monkeypatch):
+    engine, grids, fit_cells = stream_fixture(retrain_interval=60)
+    fail_refits(monkeypatch, {"pca"})
+    before = retrain_tick(engine, grids, fit_cells)
+    assert [d.detector_id for d in engine.detectors] == [d.detector_id for d in before]
+    for new, old in zip(engine.detectors, before):
+        assert (new is old) == (new.kind == "pca")
+    failed = sorted(w.split(": ")[1] for w in engine.warnings if "on purpose" in w)
+    assert failed == ["pca:gaslimit", "pca:gasprice", "pca:multi", "pca:value"]
 
 
 def test_detector_seed_stable_and_distinct():

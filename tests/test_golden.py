@@ -1,5 +1,5 @@
-"""Behaviour pin: SHA-256 of the batch report for fixed (synth seed,
-engine config) pairs. A change to these digests is a change to the
+"""Behaviour pin: SHA-256 of the batch report and of a stream replay's
+alarms for fixed (synth seed, engine config) pairs. A change to these digests is a change to the
 engine's alarms or report records; update them only on purpose and
 record why in CHANGES.md."""
 
@@ -9,7 +9,8 @@ import pytest
 
 from ethsentinel import cli, ensemble
 from ethsentinel.config import EngineConfig
-from ethsentinel.synth import SynthConfig, synth_generate
+from ethsentinel.series import TimeSeries
+from ethsentinel.synth import SPIKE, Injection, SynthConfig, synth_generate
 
 GOLDEN = {
     # one-day synthetic stream, default SynthConfig apart from the rate
@@ -31,3 +32,50 @@ def report_digest(base_rate: float, seed: int) -> str:
 def test_batch_report_digest(name):
     base_rate, seed, digest = GOLDEN[name]
     assert report_digest(base_rate, seed) == digest
+
+
+# two hours of database, 41 one-cell advances, one retrain (at advance
+# 25) and a spike at advance 15
+STREAM_DATABASE = 2 * 3600
+STREAM_GOLDEN = "7f6eb983f0dc3fb12e652052308a7a87eb9ba620f302cd61391f2efd085df763"
+
+
+def stream_alarm_lines() -> list[str]:
+    """Replay a synth stream one cell at a time, as ``detect stream``
+    does, and render its alarms as ``detect stream`` writes them."""
+    transactions, _ = synth_generate(
+        SynthConfig(
+            duration=STREAM_DATABASE + 40 * 60,
+            base_rate=6.0,
+            seed=3,
+            injections=(Injection(SPIKE, STREAM_DATABASE + 15 * 60, 60.0),),
+        )
+    )
+    config = EngineConfig(database_span=STREAM_DATABASE, retrain_interval=25 * 60)
+    grids = ensemble.build_grids(transactions, config)
+    fit_cells = STREAM_DATABASE // config.grid_step
+    initial = {
+        name: TimeSeries(g.timestamps[:fit_cells], g.values[:fit_cells], step=g.step)
+        for name, g in grids.items()
+    }
+    engine = ensemble.engine_from_grids(initial, config)
+    lines = []
+    for i in range(fit_cells, len(grids["value"])):
+        new = {
+            name: TimeSeries(g.timestamps[i : i + 1], g.values[i : i + 1], step=g.step)
+            for name, g in grids.items()
+        }
+        for alarm in ensemble.stream_advance(engine, new):
+            lines.append(
+                cli._alarm_line(
+                    alarm.timestamp, alarm.account, alarm.categories, True, alarm.detectors
+                )
+            )
+    return lines
+
+
+def test_stream_alarm_digest():
+    lines = stream_alarm_lines()
+    assert lines  # the pin covers alarm records, not an empty file
+    text = "".join(line + "\n" for line in lines)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == STREAM_GOLDEN

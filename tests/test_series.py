@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import naive_point_flags, naive_window_matrix
 
-from ethsentinel.ensemble import _window_matrix
+from ethsentinel import ensemble
+from ethsentinel.ensemble import _window_matrix, _window_point_flags
 from ethsentinel.errors import DataError
 from ethsentinel.predictive import ArimaOrder, _apply_differencing
 from ethsentinel.series import (
@@ -69,14 +71,44 @@ def test_resample_preserves_total_mass(points, step):
     assert np.all(np.diff(grid.timestamps) == step)
 
 
-def test_window_matrix_overlap_membership():
-    matrix, starts = _window_matrix(np.arange(10.0), 5, 1)
+def test_window_matrix_overlap_membership(monkeypatch):
+    matrix, starts = _window_matrix(np.arange(10.0), 5, 1, 0)
     # 10 cells, 5-cell windows, stride 1 -> 6 windows
     assert len(matrix) == 6
     assert matrix[0].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
     # cell 4 appears in windows starting at 0..4 (5 windows)
     containing = [s for s in starts if s <= 4 < s + 5]
     assert len(containing) == 5
+
+    # windows and point flags against the one-slice-per-window and
+    # one-window-at-a-time oracles; a window flags when its sum is
+    # positive
+    monkeypatch.setattr(ensemble, "_score_rows", lambda kind, payload, rows: rows.sum(1) > 0)
+    rng = np.random.default_rng(7)
+    w = 5
+    for shape in [(23,), (23, 3), (3,), (3, 3)]:
+        values = rng.standard_normal(shape)
+        n = len(values)
+        for stride in (1, 2):
+            full, full_starts = naive_window_matrix(values, w, stride)
+            # first = 3 is off the stride-2 grid and rounds up to 4
+            for first in (0, 3, n // 2, n - 1):
+                got, got_starts = _window_matrix(values, w, stride, first)
+                keep = full_starts >= first
+                assert np.array_equal(got, full[keep])
+                assert np.array_equal(got_starts, full_starts[keep])
+            det = ensemble.FittedDetector(
+                "pca:g", "pca", ensemble.DetectorCategory.REDUCTION, "g",
+                {"window_cells": w, "stride_cells": stride},
+            )
+            for start in (0, n // 2, n - 1):
+                used = full_starts >= max(0, start - w + 1)
+                for vote in ("any", "majority", "all"):
+                    expected = naive_point_flags(
+                        full[used].sum(1) > 0, full_starts[used], w, n, start, vote
+                    )
+                    got = _window_point_flags(det, values, start, vote)
+                    assert got.tolist() == expected.tolist()
 
 
 def test_difference_orders():
