@@ -13,13 +13,22 @@ from __future__ import annotations
 
 import enum
 import zlib
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import clustering, kernels, predictive, reduction
-from .config import BOTH, MULTIVARIATE, UNIVARIATE, EngineConfig
+from .config import (
+    BOTH,
+    CLUSTERING_KINDS,
+    MULTIVARIATE,
+    PREDICTIVE_KINDS,
+    REDUCTION_KINDS,
+    UNIVARIATE,
+    EngineConfig,
+)
 from .errors import DataError, FitError, NumericError
 from .ingest import FeatureKind, to_feature_series
 from .series import (
@@ -39,21 +48,6 @@ class DetectorCategory(enum.Enum):
     REDUCTION = "reduction"
     CLUSTERING = "clustering"
 
-
-KIND_CATEGORY = {
-    "arima": DetectorCategory.PREDICTIVE,
-    "sarima": DetectorCategory.PREDICTIVE,
-    "stl": DetectorCategory.PREDICTIVE,
-    "knn": DetectorCategory.PREDICTIVE,
-    "cart": DetectorCategory.PREDICTIVE,
-    "kridge": DetectorCategory.PREDICTIVE,
-    "pca": DetectorCategory.REDUCTION,
-    "iforest": DetectorCategory.REDUCTION,
-    "ae": DetectorCategory.REDUCTION,
-    "kmeans": DetectorCategory.CLUSTERING,
-    "dbscan": DetectorCategory.CLUSTERING,
-    "ocsvm": DetectorCategory.CLUSTERING,
-}
 
 _FEATURE_BY_NAME = {
     "value": FeatureKind.PAYMENT_AMOUNT,
@@ -143,10 +137,6 @@ def _window_matrix(
     return view[starts].reshape(len(starts), width), starts
 
 
-def _apply_standardize(matrix, mean, std):
-    return (matrix - mean) / std
-
-
 def _subsample_rows(matrix: np.ndarray, cap: int, seed: int) -> np.ndarray:
     if len(matrix) <= cap:
         return matrix
@@ -156,12 +146,13 @@ def _subsample_rows(matrix: np.ndarray, cap: int, seed: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# fitting
+# detector kinds
 
 
-def _resolve_period(train: np.ndarray, config: EngineConfig) -> int:
+def _resolve_period(train: np.ndarray, config: EngineConfig, cycles: int) -> int:
     """Configured seasonal period, or the ACF estimate with a one-day
-    fallback when nothing significant shows up."""
+    fallback when nothing significant shows up; capped so that
+    ``train`` spans ``cycles`` periods (but at least 2)."""
     period = config.sarima_period
     if period == 0:
         try:
@@ -170,75 +161,31 @@ def _resolve_period(train: np.ndarray, config: EngineConfig) -> int:
             period = 0
         if period < 2:
             period = config.fallback_period
-    return period
+    return min(period, max(2, len(train) // cycles))
 
 
-def _fit_predictive(kind: str, train: np.ndarray, config: EngineConfig, seed: int) -> dict:
-    if kind == "arima":
-        order = predictive.ArimaOrder(*config.arima_order)
-        model = predictive.arima_fit(train, order)
-        return {"model": model, "rms": model.residual_rms}
-    if kind == "sarima":
-        period = _resolve_period(train, config)
-        period = min(period, max(2, len(train) // 3))
-        p, d, q = config.arima_order
-        order = predictive.ArimaOrder(p, d, q, (1, 0, 1, period))
-        model = predictive.arima_fit(train, order)
-        return {"model": model, "rms": model.residual_rms}
-    if kind == "stl":
-        period = _resolve_period(train, config)
-        period = min(period, max(2, len(train) // 2))
-        decomp = predictive.stl_decompose(train, period)
-        return {"period": period, "rms": rms(decomp.residual)}
-    if kind == "knn":
-        lags, k = config.knn_lags, config.knn_k
-        X, y = predictive._lag_pairs(train, lags)
-        if k >= len(X):
-            raise FitError("not enough training pairs for k-NN")
-        # leave-self-out residuals, else in-sample RMS degenerates to 0
-        dist = kernels.sq_dists(X, X)
-        np.fill_diagonal(dist, np.inf)
-        preds = _knn_mean_targets(dist, y, k)
-        return {"X": X, "y": y, "lags": lags, "k": k, "rms": rms(y - preds)}
-    if kind == "cart":
-        lags = config.cart_lags
-        model = predictive.cart_fit(train, lags, config.cart_depth, config.cart_min_leaf)
-        X, y = predictive._lag_pairs(train, lags)
-        # honest RMS from a chronological holdout; in-sample residuals of
-        # a grown tree underestimate the noise level
-        cut = max(1, int(round(0.75 * len(X))))
-        if cut < len(X):
-            held = predictive.cart_fit(
-                train[: cut + lags], lags, config.cart_depth, config.cart_min_leaf
-            )
-            preds = np.array([predictive.cart_predict(held, row) for row in X[cut:]])
-            noise = rms(y[cut:] - preds)
-        else:
-            preds = np.array([predictive.cart_predict(model, row) for row in X])
-            noise = rms(y - preds)
-        return {"model": model, "lags": lags, "rms": noise}
-    if kind == "kridge":
-        lags = config.kridge_lags
-        X, y = predictive._lag_pairs(train, lags)
-        keep = _subsample_rows(np.arange(len(X))[:, None], config.fit_subsample, seed).ravel()
-        model = kernels.kernel_ridge_fit(
-            X[keep], y[keep], kernels.KernelSpec(), config.kridge_lambda
-        )
-        cut = max(1, int(round(0.75 * len(X))))
-        if cut < len(X):
-            keep_h = keep[keep < cut]
-            if len(keep_h) >= 2:
-                held = kernels.kernel_ridge_fit(
-                    X[keep_h], y[keep_h], kernels.KernelSpec(), config.kridge_lambda
-                )
-                preds = kernels.kernel_ridge_predict(held, X[cut:])
-                noise = rms(y[cut:] - preds)
-            else:
-                noise = rms(y - kernels.kernel_ridge_predict(model, X))
-        else:
-            noise = rms(y - kernels.kernel_ridge_predict(model, X))
-        return {"model": model, "lags": lags, "rms": noise}
-    raise DataError(f"unknown predictive detector {kind!r}")
+def _fit_arima(train, config, seasonal=None):
+    model = predictive.arima_fit(train, predictive.ArimaOrder(*config.arima_order, seasonal))
+    return {"model": model, "rms": model.residual_rms}
+
+
+def _score_arima(payload, values, start):
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, residuals, offset = predictive.arima_predict_in_sample(payload["model"], values)
+    first = max(start, offset)
+    return first, residuals[first - offset :]
+
+
+def _fit_stl(train, config, seed):
+    period = _resolve_period(train, config, 2)
+    return {"period": period, "rms": rms(predictive.stl_decompose(train, period).residual)}
+
+
+def _score_stl(payload, values, start):
+    period = payload["period"]
+    if len(values) < 2 * period:
+        return len(values), np.empty(0)
+    return start, predictive.stl_decompose(values, period).residual[start:]
 
 
 def _knn_mean_targets(sq_dists: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
@@ -248,83 +195,226 @@ def _knn_mean_targets(sq_dists: np.ndarray, y: np.ndarray, k: int) -> np.ndarray
     return y[nearest].mean(axis=1)
 
 
+def _fit_knn(train, config, seed):
+    lags, k = config.knn_lags, config.knn_k
+    X, y = predictive._lag_pairs(train, lags)
+    if k >= len(X):
+        raise FitError("not enough training pairs for k-NN")
+    # leave-self-out residuals, else in-sample RMS degenerates to 0
+    dist = kernels.sq_dists(X, X)
+    np.fill_diagonal(dist, np.inf)
+    preds = _knn_mean_targets(dist, y, k)
+    return {"X": X, "y": y, "lags": lags, "k": k, "rms": rms(y - preds)}
+
+
+def _holdout_rms(X, y, model, predict, fit_head) -> float:
+    """Noise level of a lag-vector forecaster from a chronological
+    holdout: ``fit_head(cut)`` refits on the first 75% of the lag pairs
+    and predicts the rest, since in-sample residuals of a flexible model
+    underestimate the noise. Without a holdout, or when ``fit_head``
+    returns None, the in-sample residuals of ``model``."""
+    cut = max(1, int(round(0.75 * len(X))))
+    held = fit_head(cut) if cut < len(X) else None
+    if held is None:
+        return rms(y - predict(model, X))
+    return rms(y[cut:] - predict(held, X[cut:]))
+
+
+def _cart_predictions(model, X):
+    return np.array([predictive.cart_predict(model, row) for row in X])
+
+
+def _fit_cart(train, config, seed):
+    lags, depth, min_leaf = config.cart_lags, config.cart_depth, config.cart_min_leaf
+    model = predictive.cart_fit(train, lags, depth, min_leaf)
+    X, y = predictive._lag_pairs(train, lags)
+
+    def fit_head(cut):
+        return predictive.cart_fit(train[: cut + lags], lags, depth, min_leaf)
+
+    noise = _holdout_rms(X, y, model, _cart_predictions, fit_head)
+    return {"model": model, "lags": lags, "rms": noise}
+
+
+def _fit_kridge(train, config, seed):
+    lags = config.kridge_lags
+    X, y = predictive._lag_pairs(train, lags)
+    keep = _subsample_rows(np.arange(len(X))[:, None], config.fit_subsample, seed).ravel()
+
+    def fit(rows):
+        return kernels.kernel_ridge_fit(
+            X[rows], y[rows], kernels.KernelSpec(), config.kridge_lambda
+        )
+
+    def fit_head(cut):
+        head = keep[keep < cut]
+        return fit(head) if len(head) >= 2 else None
+
+    model = fit(keep)
+    noise = _holdout_rms(X, y, model, kernels.kernel_ridge_predict, fit_head)
+    return {"model": model, "lags": lags, "rms": noise}
+
+
+def _lag_scorer(predict):
+    """Score of a lag-vector forecaster: the residuals of its one-step
+    forecasts ``predict(payload, contexts)`` from cell max(start, lags)."""
+
+    def score(payload, values, start):
+        lags = payload["lags"]
+        first = max(start, lags)
+        if first >= len(values):
+            return len(values), np.empty(0)
+        contexts, actuals = predictive._lag_pairs(values[first - lags :], lags)
+        return first, actuals - predict(payload, contexts)
+
+    return score
+
+
+def _fit_kmeans(rows, config, seed):
+    k = config.kmeans_k
+    if k == 0:
+        k = clustering.select_k(rows, 2, config.kmeans_k_max, seed=seed)
+    model = clustering.kmeans_fit(rows, k, seed=seed, restarts=config.kmeans_restarts)
+    return {"model": model, "threshold": model.train_distance_quantile}
+
+
+def _fit_dbscan(rows, config, seed):
+    eps = config.dbscan_eps
+    reference = _subsample_rows(rows, config.boundary_subsample, seed)
+    if eps == 0.0:
+        # the k-distance quantile anchors the elbow from below; scale
+        # it up so ~5% of the training rows don't flag by construction
+        eps = config.dbscan_eps_scale * clustering.estimate_eps(
+            reference, max(1, config.dbscan_min_pts - 1)
+        )
+    if eps <= 0.0:
+        eps = 1e-9
+    return {"reference": reference, "eps": eps, "min_pts": config.dbscan_min_pts}
+
+
+def _score_dbscan(payload, rows):
+    # density rule against the reference database: a row with fewer
+    # than min_pts neighbors within eps (itself included) is noise
+    sq = kernels.sq_dists(rows, payload["reference"])
+    return np.sum(sq <= payload["eps"] ** 2, axis=1) + 1 < payload["min_pts"]
+
+
+def _fit_ocsvm(rows, config, seed):
+    train = _subsample_rows(rows, config.boundary_subsample, seed)
+    nu = max(config.ocsvm_nu, 1.0 / len(train))
+    return {"model": kernels.one_class_fit(train, kernels.KernelSpec(), nu)}
+
+
+def _thresholded(model, score, rows, config):
+    """A model that flags scores above mean + residual_multiplier * std
+    of its scores on the training rows."""
+    threshold = reduction.score_threshold(score(model, rows), config.residual_multiplier)
+    return {"model": model, "threshold": threshold}
+
+
+def _fit_iforest(rows, config, seed):
+    model = reduction.iforest_fit(rows, config.iforest_trees, config.iforest_subsample, seed)
+    return {"model": model, "threshold": config.iforest_cutoff}
+
+
+def _fit_ae(rows, config, seed):
+    model = reduction.ae_train(
+        rows, config.ae_hidden, config.ae_epochs, config.ae_learning_rate, seed=seed
+    )
+    return _thresholded(model, reduction.ae_score, rows, config)
+
+
+@dataclass(frozen=True)
+class DetectorKind:
+    """How one detector kind is fitted and scored.
+
+    A predictive kind fits on a training series, ``fit(train, config,
+    seed) -> payload``, and ``score(payload, values, start)`` returns
+    ``(first, residuals)``: the one-step residuals of cells [first, n),
+    where first >= start. A row kind fits on standardized rows,
+    ``fit(rows, config, seed) -> payload``, and flags standardized rows,
+    ``score(payload, rows) -> bool array``; its rows are the windows of
+    ``window(config)`` cells of each feature and, with ``multi``, of the
+    per-cell feature rows. The functions look library code up when
+    called, so a wrapper set on a module attribute sees every call.
+    """
+
+    fit: Callable
+    score: Callable
+    window: Callable[[EngineConfig], int] = lambda c: c.window_duration // c.grid_step
+    multi: bool = True
+
+
+DETECTOR_KINDS = {
+    "arima": DetectorKind(lambda train, config, seed: _fit_arima(train, config), _score_arima),
+    "sarima": DetectorKind(
+        lambda train, config, seed: _fit_arima(
+            train, config, (1, 0, 1, _resolve_period(train, config, 3))
+        ),
+        _score_arima,
+    ),
+    "stl": DetectorKind(_fit_stl, _score_stl),
+    "knn": DetectorKind(
+        _fit_knn,
+        _lag_scorer(
+            lambda p, X: _knn_mean_targets(kernels.sq_dists(X, p["X"]), p["y"], p["k"])
+        ),
+    ),
+    "cart": DetectorKind(_fit_cart, _lag_scorer(lambda p, X: _cart_predictions(p["model"], X))),
+    "kridge": DetectorKind(
+        _fit_kridge, _lag_scorer(lambda p, X: kernels.kernel_ridge_predict(p["model"], X))
+    ),
+    "pca": DetectorKind(
+        lambda rows, config, seed: _thresholded(
+            reduction.pca_fit(rows, config.pca_explained), reduction.pca_score, rows, config
+        ),
+        lambda p, rows: reduction.pca_score(p["model"], rows) > p["threshold"],
+    ),
+    "iforest": DetectorKind(
+        _fit_iforest, lambda p, rows: reduction.iforest_score(p["model"], rows) > p["threshold"]
+    ),
+    # the autoencoder is wired univariate, on its own window length
+    "ae": DetectorKind(
+        _fit_ae,
+        lambda p, rows: reduction.ae_score(p["model"], rows) > p["threshold"],
+        window=lambda config: config.ae_window,
+        multi=False,
+    ),
+    "kmeans": DetectorKind(
+        _fit_kmeans, lambda p, rows: clustering.kmeans_score(p["model"], rows) > p["threshold"]
+    ),
+    "dbscan": DetectorKind(_fit_dbscan, _score_dbscan),
+    "ocsvm": DetectorKind(
+        _fit_ocsvm,
+        lambda p, rows: np.atleast_1d(kernels.one_class_decision(p["model"], rows)) < 0.0,
+    ),
+}
+
+KIND_CATEGORY = (
+    dict.fromkeys(PREDICTIVE_KINDS, DetectorCategory.PREDICTIVE)
+    | dict.fromkeys(REDUCTION_KINDS, DetectorCategory.REDUCTION)
+    | dict.fromkeys(CLUSTERING_KINDS, DetectorCategory.CLUSTERING)
+)
+
+
+# ---------------------------------------------------------------------------
+# fitting
+
+
+def _fit_predictive(kind: str, train: np.ndarray, config: EngineConfig, seed: int) -> dict:
+    return DETECTOR_KINDS[kind].fit(train, config, seed)
+
+
 def _fit_row_detector(kind: str, rows: np.ndarray, config: EngineConfig, seed: int) -> dict:
     """Fit a window/row detector on standardized training rows."""
     std_rows, mean, std = standardize(rows)
-    payload: dict = {"mean": mean, "std": std}
-    if kind == "kmeans":
-        k = config.kmeans_k
-        if k == 0:
-            k = clustering.select_k(std_rows, 2, config.kmeans_k_max, seed=seed)
-        model = clustering.kmeans_fit(std_rows, k, seed=seed, restarts=config.kmeans_restarts)
-        payload.update(model=model, threshold=model.train_distance_quantile)
-    elif kind == "dbscan":
-        eps = config.dbscan_eps
-        reference = _subsample_rows(std_rows, config.boundary_subsample, seed)
-        if eps == 0.0:
-            # the k-distance quantile anchors the elbow from below; scale
-            # it up so ~5% of the training rows don't flag by construction
-            eps = config.dbscan_eps_scale * clustering.estimate_eps(
-                reference, max(1, config.dbscan_min_pts - 1)
-            )
-        if eps <= 0.0:
-            eps = 1e-9
-        payload.update(reference=reference, eps=eps, min_pts=config.dbscan_min_pts)
-    elif kind == "ocsvm":
-        train = _subsample_rows(std_rows, config.boundary_subsample, seed)
-        nu = max(config.ocsvm_nu, 1.0 / len(train))
-        model = kernels.one_class_fit(train, kernels.KernelSpec(), nu)
-        payload.update(model=model)
-    elif kind == "pca":
-        model = reduction.pca_fit(std_rows, config.pca_explained)
-        scores = reduction.pca_score(model, std_rows)
-        payload.update(
-            model=model,
-            threshold=reduction.score_threshold(scores, config.residual_multiplier),
-        )
-    elif kind == "iforest":
-        model = reduction.iforest_fit(
-            std_rows, config.iforest_trees, config.iforest_subsample, seed
-        )
-        payload.update(model=model, threshold=config.iforest_cutoff)
-    elif kind == "ae":
-        model = reduction.ae_train(
-            std_rows,
-            config.ae_hidden,
-            epochs=config.ae_epochs,
-            learning_rate=config.ae_learning_rate,
-            seed=seed,
-        )
-        scores = reduction.ae_score(model, std_rows)
-        payload.update(
-            model=model,
-            threshold=reduction.score_threshold(scores, config.residual_multiplier),
-        )
-    else:
-        raise DataError(f"unknown row detector {kind!r}")
-    return payload
+    return {"mean": mean, "std": std, **DETECTOR_KINDS[kind].fit(std_rows, config, seed)}
 
 
 def _score_rows(kind: str, payload: dict, rows: np.ndarray) -> np.ndarray:
     """Boolean flag per row for a fitted window/row detector."""
-    std_rows = _apply_standardize(rows, payload["mean"], payload["std"])
-    if kind == "kmeans":
-        return clustering.kmeans_score(payload["model"], std_rows) > payload["threshold"]
-    if kind == "dbscan":
-        # density rule against the reference database: a row with fewer
-        # than min_pts neighbors within eps (itself included) is noise
-        sq = kernels.sq_dists(std_rows, payload["reference"])
-        counts = np.sum(sq <= payload["eps"] ** 2, axis=1) + 1
-        return counts < payload["min_pts"]
-    if kind == "ocsvm":
-        return np.atleast_1d(kernels.one_class_decision(payload["model"], std_rows)) < 0.0
-    if kind == "pca":
-        return reduction.pca_score(payload["model"], std_rows) > payload["threshold"]
-    if kind == "iforest":
-        return reduction.iforest_score(payload["model"], std_rows) > payload["threshold"]
-    if kind == "ae":
-        return reduction.ae_score(payload["model"], std_rows) > payload["threshold"]
-    raise DataError(f"unknown row detector {kind!r}")
+    std_rows = (rows - payload["mean"]) / payload["std"]
+    return DETECTOR_KINDS[kind].score(payload, std_rows)
 
 
 def fit_bank(
@@ -344,10 +434,9 @@ def fit_bank(
     detectors: list[FittedDetector] = []
     warnings: list[str] = []
     kept = {det.detector_id: det for det in previous or ()}
-    w_cells = config.window_duration // config.grid_step
     s_cells = config.window_stride // config.grid_step
 
-    def add(kind, group, fit, window_cells=None):
+    def add(kind, group, fit):
         detector_id = f"{kind}:{group}"
         try:
             payload = fit(_detector_seed(config.seed, kind, group))
@@ -356,16 +445,23 @@ def fit_bank(
             if detector_id in kept:
                 detectors.append(kept[detector_id])
             return
-        if window_cells is not None:
-            payload["window_cells"] = window_cells
-            payload["stride_cells"] = s_cells
         detectors.append(FittedDetector(detector_id, kind, KIND_CATEGORY[kind], group, payload))
 
-    def fit_windows(kind, matrix, seed):
+    def fit_windows(kind, matrix, w, seed):
         if len(matrix) < 10:
             raise FitError("too few windows")
-        return _fit_row_detector(kind, matrix, config, seed)
+        payload = _fit_row_detector(kind, matrix, config, seed)
+        return payload | {"window_cells": w, "stride_cells": s_cells}
 
+    def fit_row_kinds(group, values, kinds):
+        matrices = {}  # training windows by window length
+        for kind in kinds:
+            w = DETECTOR_KINDS[kind].window(config)
+            if w not in matrices:
+                matrices[w], _ = _window_matrix(values, w, s_cells, 0)
+            add(kind, group, lambda seed: fit_windows(kind, matrices[w], w, seed))
+
+    row_kinds = (*config.clustering_detectors, *config.reduction_detectors)
     univariate = config.mode in (UNIVARIATE, BOTH)
     multivariate = config.mode in (MULTIVARIATE, BOTH)
 
@@ -375,22 +471,12 @@ def fit_bank(
             train = values if predictive_train_cells is None else values[:predictive_train_cells]
             for kind in config.predictive_detectors:
                 add(kind, name, lambda seed: _fit_predictive(kind, train, config, seed))
-            window_train, _ = _window_matrix(values, w_cells, s_cells, 0)
-            ae_train_matrix, _ = _window_matrix(values, config.ae_window, s_cells, 0)
-            for kind in (*config.clustering_detectors, *config.reduction_detectors):
-                if kind == "ae":
-                    matrix, window_cells = ae_train_matrix, config.ae_window
-                else:
-                    matrix, window_cells = window_train, w_cells
-                add(kind, name, lambda seed: fit_windows(kind, matrix, seed), window_cells)
+            fit_row_kinds(name, values, row_kinds)
 
     if multivariate and len(config.features) > 1:
         rows = np.column_stack([grids[name].values for name in config.features])
-        matrix, _ = _window_matrix(rows, w_cells, s_cells, 0)
-        for kind in (*config.clustering_detectors, *config.reduction_detectors):
-            if kind == "ae":
-                continue  # the autoencoder is wired univariate (windowed)
-            add(kind, MULTI_GROUP, lambda seed: fit_windows(kind, matrix, seed), w_cells)
+        multi_kinds = [kind for kind in row_kinds if DETECTOR_KINDS[kind].multi]
+        fit_row_kinds(MULTI_GROUP, rows, multi_kinds)
     return detectors, warnings
 
 
@@ -402,47 +488,10 @@ def _predictive_point_flags(
     det: FittedDetector, values: np.ndarray, start: int, config: EngineConfig
 ) -> np.ndarray:
     """Flags for cells [start, n) from a fitted predictive detector."""
-    n = len(values)
-    flags = np.zeros(n - start, dtype=bool)
-    mult = config.residual_multiplier
-    kind = det.kind
-    payload = det.payload
-    if kind in ("arima", "sarima"):
-        model = payload["model"]
-        with np.errstate(over="ignore", invalid="ignore"):
-            preds, residuals, offset = predictive.arima_predict_in_sample(model, values)
-        lo = max(start, offset)
-        region = residuals[lo - offset :]
-        flags[lo - start :] = predictive.residual_threshold_detect(
-            np.zeros_like(region), region, payload["rms"], mult
-        )
-        return flags
-    if kind == "stl":
-        period = payload["period"]
-        if n < 2 * period:
-            return flags
-        decomp = predictive.stl_decompose(values, period)
-        region = decomp.residual[start:]
-        return predictive.residual_threshold_detect(
-            np.zeros_like(region), region, payload["rms"], mult
-        )
-    lags = payload["lags"]
-    lo = max(start, lags)
-    if lo >= n:
-        return flags
-    contexts = np.stack([values[t - lags : t] for t in range(lo, n)])
-    actuals = values[lo:]
-    if kind == "knn":
-        dist = kernels.sq_dists(contexts, payload["X"])
-        preds = _knn_mean_targets(dist, payload["y"], payload["k"])
-    elif kind == "cart":
-        preds = np.array([predictive.cart_predict(payload["model"], c) for c in contexts])
-    elif kind == "kridge":
-        preds = kernels.kernel_ridge_predict(payload["model"], contexts)
-    else:
-        raise DataError(f"unknown predictive detector {kind!r}")
-    flags[lo - start :] = predictive.residual_threshold_detect(
-        preds, actuals, payload["rms"], mult
+    first, residuals = DETECTOR_KINDS[det.kind].score(det.payload, values, start)
+    flags = np.zeros(len(values) - start, dtype=bool)
+    flags[first - start :] = predictive.residual_threshold_detect(
+        np.zeros_like(residuals), residuals, det.payload["rms"], config.residual_multiplier
     )
     return flags
 
@@ -629,11 +678,6 @@ class StreamEngine:
     warnings: list[str]
     last_retrain: int
     alarmed: set = field(default_factory=set)
-
-
-def make_engine(transactions, config: EngineConfig, account: str = "") -> StreamEngine:
-    """Fit the bank on an initial reference span and start the clock."""
-    return engine_from_grids(build_grids(transactions, config), config, account)
 
 
 def engine_from_grids(

@@ -249,43 +249,6 @@ def _model_params(model: ArimaModel) -> np.ndarray:
     )
 
 
-def arima_forecast_one_step(model: ArimaModel, history: np.ndarray) -> float:
-    """Forecast the next value from the raw-scale history."""
-    history = np.asarray(history, dtype=np.float64)
-    order = model.order
-    stages = _apply_differencing(history, order)
-    w = stages[-1]
-    if len(w) <= _recursion_start(order):
-        raise DataError("history too short for the model's lags")
-    params = _model_params(model)
-    e = _css_residuals(w, order, params)
-    p, q = order.p, order.q
-    P = Q = s = 0
-    if order.seasonal is not None:
-        P, _, Q, s = order.seasonal
-    # Forecast index is n on the differenced scale, so lag i means n - i.
-    n = len(w)
-    pred = model.intercept
-    for i in range(1, p + 1):
-        pred += model.phi[i - 1] * w[n - i]
-    for j in range(1, P + 1):
-        pred += model.seasonal_phi[j - 1] * w[n - j * s]
-    for i in range(1, q + 1):
-        pred -= model.theta[i - 1] * e[n - i]
-    for j in range(1, Q + 1):
-        pred -= model.seasonal_theta[j - 1] * e[n - j * s]
-    # Invert the differencing chain, seasonal stages first (they were
-    # applied last), then the regular ones.
-    n_seasonal = order.seasonal[1] if order.seasonal is not None else 0
-    for stage in reversed(stages[:-1]):
-        if n_seasonal > 0:
-            pred += stage[-s]
-            n_seasonal -= 1
-        else:
-            pred += stage[-1]
-    return float(pred)
-
-
 def arima_predict_in_sample(model: ArimaModel, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """One-step-ahead predictions over a raw-scale series.
 

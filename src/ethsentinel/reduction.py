@@ -190,13 +190,6 @@ def iforest_fit(
     )
 
 
-def _path_length(node: _IsoNode, x: np.ndarray, depth: int) -> float:
-    while node.feature >= 0:
-        node = node.left if x[node.feature] < node.threshold else node.right
-        depth += 1
-    return depth + average_path_length(node.size)
-
-
 def _path_lengths_batch(root: _IsoNode, X: np.ndarray) -> np.ndarray:
     """Per-row path length for one tree, computed by index partitioning."""
     out = np.empty(len(X))
@@ -317,14 +310,11 @@ def ae_score(model: AutoencoderModel, window: np.ndarray) -> np.ndarray | float:
     return float(err[0]) if single else err
 
 
-IFOREST_DEFAULT_CUTOFF = 0.6
-
-
 def score_threshold(train_scores: np.ndarray, multiplier: float = 3.0) -> float:
     """mean + multiplier * std of training scores (population std).
 
-    The isolation forest does not use this; it takes a fixed score
-    cutoff (default 0.6) since its scores are already normalized.
+    The isolation forest does not use this; its scores are already
+    normalized, so it takes a fixed cutoff (``iforest_cutoff``).
     """
     scores = np.asarray(train_scores, dtype=np.float64)
     if len(scores) == 0:

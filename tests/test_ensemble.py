@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ethsentinel import ensemble, synth
-from ethsentinel.config import EngineConfig
+from ethsentinel.config import CLUSTERING_KINDS, PREDICTIVE_KINDS, REDUCTION_KINDS, EngineConfig
 from ethsentinel.ensemble import (
     DetectorCategory,
     DetectorVerdict,
@@ -264,6 +264,26 @@ def test_stream_alarms_deduplicated():
         for alarm in advance_one(engine, grids, i):
             assert alarm.timestamp not in seen
             seen.add(alarm.timestamp)
+
+
+def test_kind_table_wires_every_configured_kind():
+    kinds = (*PREDICTIVE_KINDS, *REDUCTION_KINDS, *CLUSTERING_KINDS)
+    assert tuple(ensemble.DETECTOR_KINDS) == kinds
+    assert tuple(ensemble.KIND_CATEGORY) == kinds
+    for category, members in ((P, PREDICTIVE_KINDS), (R, REDUCTION_KINDS), (C, CLUSTERING_KINDS)):
+        assert {ensemble.KIND_CATEGORY[kind] for kind in members} == {category}
+    # the default bank: every kind on every feature, and every row kind
+    # but the autoencoder on the multivariate rows
+    config = EngineConfig()
+    txs, _ = small_stream(seed=3, duration=2 * 3600)
+    detectors, warnings = ensemble.fit_bank(build_grids(txs, config), config)
+    assert warnings == []
+    bank_order = (*PREDICTIVE_KINDS, *CLUSTERING_KINDS, *REDUCTION_KINDS)
+    expected = [f"{kind}:{feature}" for feature in config.features for kind in bank_order]
+    expected += ["kmeans:multi", "dbscan:multi", "ocsvm:multi", "pca:multi", "iforest:multi"]
+    assert [det.detector_id for det in detectors] == expected
+    assert len(detectors) == 41
+    assert all(det.category is ensemble.KIND_CATEGORY[det.kind] for det in detectors)
 
 
 def test_stream_tick_builds_only_windows_covering_new_cells(monkeypatch):

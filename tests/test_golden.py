@@ -1,14 +1,17 @@
 """Behaviour pin: SHA-256 of the batch report and of a stream replay's
 alarms for fixed (synth seed, engine config) pairs. A change to these digests is a change to the
 engine's alarms or report records; update them only on purpose and
-record why in CHANGES.md."""
+record why in CHANGES.md. The replay also checks that the traced
+benchmark's hooks still see every detector kind."""
 
 import hashlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
 from ethsentinel import cli, ensemble
-from ethsentinel.config import EngineConfig
+from ethsentinel.config import CLUSTERING_KINDS, PREDICTIVE_KINDS, REDUCTION_KINDS, EngineConfig
 from ethsentinel.series import TimeSeries
 from ethsentinel.synth import SPIKE, Injection, SynthConfig, synth_generate
 
@@ -40,9 +43,9 @@ STREAM_DATABASE = 2 * 3600
 STREAM_GOLDEN = "7f6eb983f0dc3fb12e652052308a7a87eb9ba620f302cd61391f2efd085df763"
 
 
-def stream_alarm_lines() -> list[str]:
-    """Replay a synth stream one cell at a time, as ``detect stream``
-    does, and render its alarms as ``detect stream`` writes them."""
+def stream_replay():
+    """The replay's engine, fitted on its database, and its one-cell
+    advances, as ``detect stream`` feeds them."""
     transactions, _ = synth_generate(
         SynthConfig(
             duration=STREAM_DATABASE + 40 * 60,
@@ -58,13 +61,22 @@ def stream_alarm_lines() -> list[str]:
         name: TimeSeries(g.timestamps[:fit_cells], g.values[:fit_cells], step=g.step)
         for name, g in grids.items()
     }
-    engine = ensemble.engine_from_grids(initial, config)
-    lines = []
-    for i in range(fit_cells, len(grids["value"])):
-        new = {
+    advances = [
+        {
             name: TimeSeries(g.timestamps[i : i + 1], g.values[i : i + 1], step=g.step)
             for name, g in grids.items()
         }
+        for i in range(fit_cells, len(grids["value"]))
+    ]
+    return ensemble.engine_from_grids(initial, config), advances
+
+
+def stream_alarm_lines() -> list[str]:
+    """Replay the stream and render its alarms as ``detect stream``
+    writes them."""
+    engine, advances = stream_replay()
+    lines = []
+    for new in advances:
         for alarm in ensemble.stream_advance(engine, new):
             lines.append(
                 cli._alarm_line(
@@ -79,3 +91,28 @@ def test_stream_alarm_digest():
     assert lines  # the pin covers alarm records, not an empty file
     text = "".join(line + "\n" for line in lines)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == STREAM_GOLDEN
+
+
+def load_tracing():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_replay_reaches_every_kind():
+    """The traced benchmark wraps functions at the module attribute
+    their callers look up: installing it fails if a hooked name is
+    gone, and a call that bypasses the attribute, such as a library
+    function bound into the detector table at import, records 0 calls."""
+    tracing = load_tracing()
+    engine, advances = stream_replay()
+    with tracing.Tracer() as tracer:
+        for new in advances[:3]:
+            ensemble.stream_advance(engine, new)
+    _, _, calls = tracer.totals()
+    for kind in (*PREDICTIVE_KINDS, *REDUCTION_KINDS, *CLUSTERING_KINDS):
+        assert calls[f"score.{kind}"] > 0, kind
+    assert calls["reduction.iforest_score"] > 0
+    assert calls["kernels.one_class_decision"] > 0

@@ -16,7 +16,6 @@ from ethsentinel.predictive import (
     _lag_pairs,
     aic,
     arima_fit,
-    arima_forecast_one_step,
     arima_predict_in_sample,
     cart_fit,
     cart_predict,
@@ -78,10 +77,17 @@ def test_in_sample_residuals_reconstruct_predictions():
     assert np.allclose(x[offset:] - preds, residuals)
 
 
+def one_step_forecast(model, x):
+    """Forecast of the cell after ``x``: the in-sample prediction of an
+    appended cell, which depends only on the cells before it."""
+    predictions, _, _ = arima_predict_in_sample(model, np.append(x, x[-1]))
+    return predictions[-1]
+
+
 def test_forecast_constant_series():
     x = np.full(100, 5.0)
     model = arima_fit(x + 1e-9 * np.random.default_rng(0).standard_normal(100), ArimaOrder(1, 0, 0))
-    forecast = arima_forecast_one_step(model, x)
+    forecast = one_step_forecast(model, x)
     assert forecast == pytest.approx(5.0, abs=1e-5)
 
 
@@ -90,7 +96,7 @@ def test_random_walk_differenced_forecast():
     rng = np.random.default_rng(1)
     x = np.cumsum(rng.standard_normal(800))
     model = arima_fit(x, ArimaOrder(1, 1, 0))
-    forecast = arima_forecast_one_step(model, x)
+    forecast = one_step_forecast(model, x)
     assert abs(forecast - x[-1]) < 3.0  # one-step error is O(noise), not O(level)
 
 
