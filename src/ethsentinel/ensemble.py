@@ -169,9 +169,16 @@ def _fit_arima(train, config, seasonal=None):
     return {"model": model, "rms": model.residual_rms}
 
 
-def _score_arima(payload, values, start):
+def _score_arima(payload, values, start, state):
+    """In a stream, ``state`` keeps the carry of a model whose residual
+    recursion contracts, and the next tick continues the recursion over
+    its own cells; any other model runs it over the whole database."""
+    model = payload["model"]
+    carry = state.get("carry") if state is not None else None
     with np.errstate(over="ignore", invalid="ignore"):
-        _, residuals, offset = predictive.arima_predict_in_sample(payload["model"], values)
+        residuals, offset, carry = predictive.arima_residuals(model, values, start, carry)
+    if state is not None and model.recursion_contracts:
+        state["carry"] = carry
     first = max(start, offset)
     return first, residuals[first - offset :]
 
@@ -181,7 +188,7 @@ def _fit_stl(train, config, seed):
     return {"period": period, "rms": rms(predictive.stl_decompose(train, period).residual)}
 
 
-def _score_stl(payload, values, start):
+def _score_stl(payload, values, start, state):
     period = payload["period"]
     if len(values) < 2 * period:
         return len(values), np.empty(0)
@@ -259,7 +266,7 @@ def _lag_scorer(predict):
     """Score of a lag-vector forecaster: the residuals of its one-step
     forecasts ``predict(payload, contexts)`` from cell max(start, lags)."""
 
-    def score(payload, values, start):
+    def score(payload, values, start, state):
         lags = payload["lags"]
         first = max(start, lags)
         if first >= len(values):
@@ -329,9 +336,11 @@ class DetectorKind:
     """How one detector kind is fitted and scored.
 
     A predictive kind fits on a training series, ``fit(train, config,
-    seed) -> payload``, and ``score(payload, values, start)`` returns
-    ``(first, residuals)``: the one-step residuals of cells [first, n),
-    where first >= start. A row kind fits on standardized rows,
+    seed) -> payload``, and ``score(payload, values, start, state)``
+    returns ``(first, residuals)``: the one-step residuals of cells
+    [first, n), where first >= start. ``state`` is a dict the kind may
+    keep across the ticks of one stream, emptied when the bank is
+    refitted, or None in batch. A row kind fits on standardized rows,
     ``fit(rows, config, seed) -> payload``, and flags standardized rows,
     ``score(payload, rows) -> bool array``; its rows are the windows of
     ``window(config)`` cells of each feature and, with ``multi``, of the
@@ -485,10 +494,15 @@ def fit_bank(
 
 
 def _predictive_point_flags(
-    det: FittedDetector, values: np.ndarray, start: int, config: EngineConfig
+    det: FittedDetector,
+    values: np.ndarray,
+    start: int,
+    config: EngineConfig,
+    state: dict | None = None,
 ) -> np.ndarray:
-    """Flags for cells [start, n) from a fitted predictive detector."""
-    first, residuals = DETECTOR_KINDS[det.kind].score(det.payload, values, start)
+    """Flags for cells [start, n) from a fitted predictive detector;
+    ``state`` is the detector's stream state, if any."""
+    first, residuals = DETECTOR_KINDS[det.kind].score(det.payload, values, start, state)
     flags = np.zeros(len(values) - start, dtype=bool)
     flags[first - start :] = predictive.residual_threshold_detect(
         np.zeros_like(residuals), residuals, det.payload["rms"], config.residual_multiplier
@@ -534,11 +548,13 @@ def score_bank(
     config: EngineConfig,
     predictive_start: int,
     unsupervised_start: int = 0,
+    carried: dict | None = None,
 ) -> dict[str, list[DetectorVerdict]]:
     """Score every fitted detector; returns verdicts grouped by stream.
 
     Predictive verdicts cover cells [predictive_start, n); all other
-    banks cover [unsupervised_start, n).
+    banks cover [unsupervised_start, n). ``carried`` holds a stream's
+    per-detector predictive states by detector id, and is updated.
     """
     timeline = next(iter(grids.values())).timestamps
     n = len(timeline)
@@ -549,9 +565,8 @@ def score_bank(
     for det in detectors:
         if det.category is DetectorCategory.PREDICTIVE:
             start = predictive_start
-            flags = _predictive_point_flags(
-                det, grids[det.group].values, start, config
-            )
+            state = None if carried is None else carried.setdefault(det.detector_id, {})
+            flags = _predictive_point_flags(det, grids[det.group].values, start, config, state)
         else:
             start = unsupervised_start
             values = (
@@ -669,7 +684,8 @@ class Alarm:
 
 @dataclass
 class StreamEngine:
-    """Rolling state: reference grids, fitted models, retrain clock."""
+    """Rolling state: reference grids, fitted models, retrain clock, and
+    the predictive detectors' states carried from tick to tick."""
 
     config: EngineConfig
     account: str
@@ -678,6 +694,7 @@ class StreamEngine:
     warnings: list[str]
     last_retrain: int
     alarmed: set = field(default_factory=set)
+    carried: dict = field(default_factory=dict)
 
 
 def engine_from_grids(
@@ -723,6 +740,7 @@ def retrain(engine: StreamEngine) -> None:
     )
     engine.warnings.extend(f"retrain at {now}: {warning}" for warning in warnings)
     engine.last_retrain = now
+    engine.carried = {}
 
 
 def stream_advance(engine: StreamEngine, new_points: dict[str, TimeSeries]) -> list[Alarm]:
@@ -731,8 +749,11 @@ def stream_advance(engine: StreamEngine, new_points: dict[str, TimeSeries]) -> l
     when the interval has elapsed."""
     config = engine.config
     step = config.grid_step
+    if any(len(new_points.get(name, ())) == 0 for name in config.features):
+        raise DataError("an advance must carry at least one cell per feature")
     gap = False
     appended = None
+    grids = {}
     for name in config.features:
         grid = engine.grids[name]
         incoming = new_points[name]
@@ -748,25 +769,29 @@ def stream_advance(engine: StreamEngine, new_points: dict[str, TimeSeries]) -> l
         pad_ts = expected + step * np.arange(pad, dtype=np.int64)
         ts = np.concatenate([grid.timestamps, pad_ts, incoming.timestamps])
         vals = np.concatenate([grid.values, np.zeros(pad), incoming.values])
-        engine.grids[name] = TimeSeries(ts, vals, step=step)
+        grids[name] = TimeSeries(ts, vals, step=step)
         count = pad + len(incoming)
         if appended is None:
             appended = count
         elif appended != count:
             raise DataError("features must advance by the same number of cells")
-    engine.grids = _evict(engine.grids, config)
+    engine.grids = _evict(engine.grids | grids, config)
     now = int(next(iter(engine.grids.values())).timestamps[-1])
     if now - engine.last_retrain >= config.retrain_interval:
         retrain(engine)
 
     n = len(next(iter(engine.grids.values())))
     start = max(0, n - appended)
+    # the states stay off the engine until the tick has scored, so a
+    # tick that raises leaves none to continue from
+    carried, engine.carried = engine.carried, {}
     verdicts = score_bank(
         engine.detectors,
         engine.grids,
         config,
         predictive_start=start,
         unsupervised_start=start,
+        carried=carried,
     )
     timeline = next(iter(engine.grids.values())).timestamps
     report = merge_group_votes(verdicts, timeline[start:], config.alarm_categories)
@@ -797,4 +822,5 @@ def stream_advance(engine: StreamEngine, new_points: dict[str, TimeSeries]) -> l
     # keep the alarmed-set bounded to the database span
     horizon = now - config.database_span
     engine.alarmed = {t for t in engine.alarmed if t >= horizon}
+    engine.carried = carried
     return alarms

@@ -3,9 +3,8 @@ nu-one-class kernel machine behind the OCSVM detector. ``sq_dists`` is
 the package's one pairwise squared-distance helper.
 
 The one-class dual (minimize 0.5*a'Ga s.t. 0 <= a_i <= 1/(nu*n),
-sum a = 1) is solved by most-violating-pair coordinate descent. The
-inner loop ships as a Cython extension with a pure-numpy fallback
-selected at import.
+sum a = 1) is solved by most-violating-pair coordinate descent
+(``_hot.smo_solve``).
 """
 
 from __future__ import annotations

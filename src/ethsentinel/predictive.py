@@ -70,6 +70,25 @@ class ArimaModel:
         ):
             raise DataError("coefficient lengths do not match the order")
 
+    @property
+    def recursion_contracts(self) -> bool:
+        """Whether the residual recursion forgets where it started: its
+        additive MA part contracts, sum |theta_i| + sum |Theta_j| < 1 (a
+        sufficient condition for invertibility; Box & Jenkins 1970).
+        Otherwise a recursion run on without restarts can grow without
+        bound."""
+        return float(np.abs(self.theta).sum() + np.abs(self.seasonal_theta).sum()) < 1.0
+
+
+@dataclass(frozen=True)
+class CssCarry:
+    """Where a model's residual recursion over a series ended: its last
+    ``_recursion_start(order)`` differenced values and residuals, from
+    which it continues over cells appended to the series."""
+
+    w: np.ndarray
+    e: np.ndarray
+
 
 def _apply_differencing(values: np.ndarray, order: ArimaOrder) -> list[np.ndarray]:
     """Chain of series after each differencing stage; last entry is the
@@ -112,12 +131,15 @@ def _split_params(order: ArimaOrder, params: np.ndarray):
     return c, phi, sphi, theta, stheta, s
 
 
-def _css_residuals(w: np.ndarray, order: ArimaOrder, params: np.ndarray) -> np.ndarray:
-    """One-step residuals on the differenced scale; burn-in entries are 0."""
+def _css_residuals(
+    w: np.ndarray, order: ArimaOrder, params: np.ndarray, history: np.ndarray | None = None
+) -> np.ndarray:
+    """One-step residuals on the differenced scale; the burn-in entries
+    are ``history`` (the residuals the recursion continues from) or 0."""
     c, phi, sphi, theta, stheta, s = _split_params(order, params)
     return css_residuals(
         np.ascontiguousarray(w, dtype=np.float64),
-        c, phi, sphi, theta, stheta, s, _recursion_start(order),
+        c, phi, sphi, theta, stheta, s, _recursion_start(order), history,
     )
 
 
@@ -249,6 +271,39 @@ def _model_params(model: ArimaModel) -> np.ndarray:
     )
 
 
+def arima_residuals(
+    model: ArimaModel, values: np.ndarray, start: int = 0, carry: CssCarry | None = None
+) -> tuple[np.ndarray, int, CssCarry | None]:
+    """One-step residuals over a raw-scale series, and the carry where
+    their recursion ended.
+
+    Without ``carry``, the recursion runs over all of ``values`` from a
+    zero start. With the ``carry`` of a recursion that ended at cell
+    ``start - 1``, it continues over cells [start, n) alone, provided
+    the d + D*s cells that difference cell ``start`` precede it; the
+    residuals are those a single pass over the whole series would give.
+    Returns (residuals, offset, carry): residuals[i] belongs to
+    values[offset + i]; the carry is None when the series is shorter
+    than the recursion start.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    order = model.order
+    params = _model_params(model)
+    burn_in = _recursion_start(order)
+    lag = order.d + (order.seasonal[1] * order.seasonal[3] if order.seasonal else 0)
+    if carry is not None and lag <= start < len(values):
+        w_new = _apply_differencing(values[start - lag :], order)[-1]
+        w = np.concatenate((carry.w, w_new))
+        e = _css_residuals(w, order, params, carry.e)
+        offset = start
+    else:
+        w = _apply_differencing(values, order)[-1]
+        e = _css_residuals(w, order, params)
+        offset = lag + burn_in
+    carry = CssCarry(w[len(w) - burn_in :], e[len(e) - burn_in :]) if len(w) >= burn_in else None
+    return e[burn_in:], offset, carry
+
+
 def arima_predict_in_sample(model: ArimaModel, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """One-step-ahead predictions over a raw-scale series.
 
@@ -258,15 +313,8 @@ def arima_predict_in_sample(model: ArimaModel, values: np.ndarray) -> tuple[np.n
     differencing terms are observed values.
     """
     values = np.asarray(values, dtype=np.float64)
-    order = model.order
-    w = _apply_differencing(values, order)[-1]
-    params = _model_params(model)
-    e = _css_residuals(w, order, params)
-    start = _recursion_start(order)
-    offset = (len(values) - len(w)) + start
-    residuals = e[start:]
-    predictions = values[offset:] - residuals
-    return predictions, residuals, offset
+    residuals, offset, _ = arima_residuals(model, values)
+    return values[offset:] - residuals, residuals, offset
 
 
 def aic(n: int, sse: float, order: ArimaOrder) -> float:

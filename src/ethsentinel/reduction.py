@@ -127,43 +127,51 @@ def average_path_length(n: int) -> float:
 
 
 @dataclass(frozen=True)
-class _IsoNode:
-    feature: int = -1  # -1 marks a leaf
-    threshold: float = 0.0
-    size: int = 0
-    left: "_IsoNode | None" = None
-    right: "_IsoNode | None" = None
-
-
-@dataclass(frozen=True)
 class IsolationForest:
-    trees: list = field(repr=False)
+    """Isolation trees stored as flat arrays, the nodes of all trees in
+    one set. Node k has the two slots 2k and 2k + 1, and a node is named
+    by its first slot; tree t's root is ``roots[t]``. ``feature``,
+    ``threshold`` and ``path_length`` hold node k's values at both of its
+    slots. A row at node s moves to ``child[s + below]``, where below is
+    1 when its ``feature`` value is below ``threshold``: slot 2k + 1
+    holds the left child and 2k the right one. A leaf has threshold +inf
+    and points to itself from both slots, and its ``path_length`` is its
+    depth plus c(size), the expected path length of the rows it did not
+    separate."""
+
+    feature: np.ndarray = field(repr=False)
+    threshold: np.ndarray = field(repr=False)
+    child: np.ndarray = field(repr=False)
+    path_length: np.ndarray = field(repr=False)
+    roots: np.ndarray = field(repr=False)
+    depth_limit: int
     subsample_size: int
     tree_count: int
     seed: int
 
 
-def _grow_iso(X: np.ndarray, depth: int, limit: int, rng: np.random.Generator) -> _IsoNode:
+def _grow_iso(X: np.ndarray, depth: int, limit: int, rng: np.random.Generator, nodes: list) -> int:
+    """Append the tree of ``X`` to ``nodes`` in preorder as (feature,
+    threshold, left, right, path length) entries; returns its root."""
     n = len(X)
+    index = len(nodes)
+    nodes.append((0, math.inf, index, index, depth + average_path_length(n)))  # a leaf
     if n <= 1 or depth >= limit:
-        return _IsoNode(size=n)
+        return index
     lo = X.min(axis=0)
     hi = X.max(axis=0)
     usable = np.flatnonzero(hi > lo)
     if len(usable) == 0:  # all points identical
-        return _IsoNode(size=n)
+        return index
     f = int(rng.choice(usable))
     threshold = float(rng.uniform(lo[f], hi[f]))
     mask = X[:, f] < threshold
     if not mask.any() or mask.all():
-        return _IsoNode(size=n)
-    return _IsoNode(
-        feature=f,
-        threshold=threshold,
-        size=n,
-        left=_grow_iso(X[mask], depth + 1, limit, rng),
-        right=_grow_iso(X[~mask], depth + 1, limit, rng),
-    )
+        return index
+    left = _grow_iso(X[mask], depth + 1, limit, rng, nodes)
+    right = _grow_iso(X[~mask], depth + 1, limit, rng, nodes)
+    nodes[index] = (f, threshold, left, right, 0.0)
+    return index
 
 
 def iforest_fit(
@@ -180,31 +188,24 @@ def iforest_fit(
     limit = int(math.ceil(math.log2(subsample_size)))
     # independent per-tree streams derived from the master seed
     seeds = np.random.SeedSequence(seed).spawn(tree_count)
-    trees = []
+    nodes: list = []
+    roots = []
     for ss in seeds:
         rng = np.random.default_rng(ss)
         idx = rng.choice(n, size=subsample_size, replace=False)
-        trees.append(_grow_iso(X[idx], 0, limit, rng))
+        roots.append(_grow_iso(X[idx], 0, limit, rng, nodes))
+    feature, threshold, left, right, path_length = (np.array(a) for a in zip(*nodes))
     return IsolationForest(
-        trees=trees, subsample_size=subsample_size, tree_count=tree_count, seed=seed
+        feature=np.repeat(feature.astype(np.intp), 2),
+        threshold=np.repeat(threshold, 2),
+        child=2 * np.column_stack((right, left)).astype(np.intp).ravel(),
+        path_length=np.repeat(path_length, 2),
+        roots=2 * np.array(roots, dtype=np.intp),
+        depth_limit=limit,
+        subsample_size=subsample_size,
+        tree_count=tree_count,
+        seed=seed,
     )
-
-
-def _path_lengths_batch(root: _IsoNode, X: np.ndarray) -> np.ndarray:
-    """Per-row path length for one tree, computed by index partitioning."""
-    out = np.empty(len(X))
-    stack = [(root, np.arange(len(X)), 0)]
-    while stack:
-        node, idx, depth = stack.pop()
-        if len(idx) == 0:
-            continue
-        if node.feature < 0:
-            out[idx] = depth + average_path_length(node.size)
-            continue
-        left = X[idx, node.feature] < node.threshold
-        stack.append((node.left, idx[left], depth + 1))
-        stack.append((node.right, idx[~left], depth + 1))
-    return out
 
 
 def iforest_score(forest: IsolationForest, x: np.ndarray) -> np.ndarray | float:
@@ -212,12 +213,21 @@ def iforest_score(forest: IsolationForest, x: np.ndarray) -> np.ndarray | float:
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     X = np.atleast_2d(x)
-    c = average_path_length(forest.subsample_size)
-    mean_path = np.zeros(len(X))
-    for tree in forest.trees:
-        mean_path += _path_lengths_batch(tree, X)
-    mean_path /= forest.tree_count
-    scores = 2.0 ** (-mean_path / c)
+    rows, width = X.shape
+    values = X.ravel()
+    # one entry per (tree, row), trees outer: every tree and row moves
+    # down one level per step; no tree is deeper than the depth limit,
+    # and leaves point to themselves
+    row_start = np.tile(np.arange(0, rows * width, width), forest.tree_count)
+    node = np.repeat(forest.roots, rows)
+    for _ in range(forest.depth_limit):
+        below = values.take(forest.feature.take(node) + row_start) < forest.threshold.take(node)
+        node = forest.child.take(node + below)
+    paths = forest.path_length.take(node).reshape(forest.tree_count, rows)
+    # a running total, tree by tree in order: np.sum may add pairwise,
+    # and the order sets the rounding of the mean
+    mean_path = np.cumsum(paths, axis=0)[-1] / forest.tree_count
+    scores = 2.0 ** (-mean_path / average_path_length(forest.subsample_size))
     return float(scores[0]) if single else scores
 
 

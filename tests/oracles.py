@@ -1,5 +1,7 @@
 """Shared reference implementations used by multiple test modules."""
 
+import math
+
 import numpy as np
 
 NOISE = -1
@@ -78,3 +80,63 @@ def naive_point_flags(window_flags, starts, w, n, start, vote):
     if vote == "all":
         return (covering > 0) & (flagged == covering)
     return flagged * 2 > covering
+
+
+def naive_iforest_score(X, tree_count, subsample_size, seed, x):
+    """Reference isolation forest: the trees of ``reduction.iforest_fit``
+    (same seeds, same draw order) grown as linked nodes, and each tree
+    walked by partitioning the row indices node by node."""
+    from ethsentinel.reduction import average_path_length
+
+    def grow(X, depth, limit, rng):
+        n = len(X)
+        if n <= 1 or depth >= limit:
+            return {"size": n}
+        lo = X.min(axis=0)
+        hi = X.max(axis=0)
+        usable = np.flatnonzero(hi > lo)
+        if len(usable) == 0:
+            return {"size": n}
+        f = int(rng.choice(usable))
+        threshold = float(rng.uniform(lo[f], hi[f]))
+        mask = X[:, f] < threshold
+        if not mask.any() or mask.all():
+            return {"size": n}
+        return {
+            "feature": f,
+            "threshold": threshold,
+            "left": grow(X[mask], depth + 1, limit, rng),
+            "right": grow(X[~mask], depth + 1, limit, rng),
+        }
+
+    def path_lengths(root, rows):
+        out = np.empty(len(rows))
+        stack = [(root, np.arange(len(rows)), 0)]
+        while stack:
+            node, idx, depth = stack.pop()
+            if len(idx) == 0:
+                continue
+            if "feature" not in node:
+                out[idx] = depth + average_path_length(node["size"])
+                continue
+            left = rows[idx, node["feature"]] < node["threshold"]
+            stack.append((node["left"], idx[left], depth + 1))
+            stack.append((node["right"], idx[~left], depth + 1))
+        return out
+
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    subsample_size = min(subsample_size, len(X))
+    limit = int(math.ceil(math.log2(subsample_size)))
+    trees = []
+    for ss in np.random.SeedSequence(seed).spawn(tree_count):
+        rng = np.random.default_rng(ss)
+        idx = rng.choice(len(X), size=subsample_size, replace=False)
+        trees.append(grow(X[idx], 0, limit, rng))
+    x = np.asarray(x, dtype=np.float64)
+    rows = np.atleast_2d(x)
+    mean_path = np.zeros(len(rows))
+    for tree in trees:
+        mean_path += path_lengths(tree, rows)
+    mean_path /= tree_count
+    scores = 2.0 ** (-mean_path / average_path_length(subsample_size))
+    return float(scores[0]) if x.ndim == 1 else scores

@@ -2,10 +2,12 @@
 batch detection, and the streaming engine's advance/retrain/evict
 machinery."""
 
+import copy
+
 import numpy as np
 import pytest
 
-from ethsentinel import ensemble, synth
+from ethsentinel import ensemble, predictive, synth
 from ethsentinel.config import CLUSTERING_KINDS, PREDICTIVE_KINDS, REDUCTION_KINDS, EngineConfig
 from ethsentinel.ensemble import (
     DetectorCategory,
@@ -157,9 +159,11 @@ def test_run_batch_rejects_empty_inputs():
         run_batch(txs, config)
 
 
-def stream_fixture(seed=4, retrain_interval=2 * 3600):
-    config = small_config(database_span=2 * 3600, retrain_interval=retrain_interval)
-    txs, _ = small_stream(seed=seed, duration=3 * 3600)
+def stream_fixture(seed=4, retrain_interval=2 * 3600, injections=(), **overrides):
+    config = small_config(
+        database_span=2 * 3600, retrain_interval=retrain_interval, **overrides
+    )
+    txs, _ = small_stream(seed=seed, duration=3 * 3600, injections=injections)
     grids = build_grids(txs, config)
     fit_cells = config.database_span // config.grid_step
     initial = {
@@ -204,6 +208,29 @@ def test_stream_advance_rejects_gap_backwards_and_skew():
     }
     with pytest.raises(DataError):
         stream_advance(engine, new)
+
+
+def test_stream_advance_rejects_an_empty_advance():
+    engine, grids, fit_cells = stream_fixture()
+    advance_one(engine, grids, fit_cells)
+    before, carried = dict(engine.grids), engine.carried
+    empty = {
+        name: TimeSeries(g.timestamps[:0], g.values[:0], step=60) for name, g in grids.items()
+    }
+    with pytest.raises(DataError):
+        stream_advance(engine, empty)
+    # a feature left out carries no cell either
+    i = fit_cells + 1
+    partial = {
+        name: TimeSeries(g.timestamps[i : i + 1], g.values[i : i + 1], step=60)
+        for name, g in grids.items()
+        if name != "gaslimit"
+    }
+    with pytest.raises(DataError):
+        stream_advance(engine, partial)
+    assert engine.grids == before and engine.carried is carried
+    # a rejected advance leaves the engine ready for the next cell
+    advance_one(engine, grids, fit_cells + 1)
 
 
 def test_stream_gap_zero_fill_notice():
@@ -358,3 +385,72 @@ def test_detector_seed_stable_and_distinct():
     assert s1 == ensemble._detector_seed(0, "knn", "value")
     assert s1 != ensemble._detector_seed(0, "knn", "gasprice")
     assert s1 != ensemble._detector_seed(1, "knn", "value")
+
+
+ARIMA_KINDS = ("arima", "sarima")
+
+
+def test_ordinary_tick_recurses_over_its_own_cells_only(monkeypatch):
+    engine, grids, fit_cells = stream_fixture(predictive_detectors=ARIMA_KINDS)
+    models = [det.payload["model"] for det in engine.detectors if det.kind in ARIMA_KINDS]
+    assert len(models) == 6
+    assert all(model.recursion_contracts for model in models)  # so every state is carried
+    advance_one(engine, grids, fit_cells)  # the first tick after the fit: full passes
+    spans = []
+    css_residuals = predictive.css_residuals
+
+    def counting(w, c, phi, sphi, theta, stheta, s, start, history=None):
+        spans.append(len(w) - start)
+        return css_residuals(w, c, phi, sphi, theta, stheta, s, start, history)
+
+    monkeypatch.setattr(predictive, "css_residuals", counting)
+    clock = engine.last_retrain
+    advance_one(engine, grids, fit_cells + 1)
+    assert engine.last_retrain == clock  # an ordinary tick
+    assert spans == [1] * len(models)
+    # a refit bank starts its recursions afresh
+    ensemble.retrain(engine)
+    assert engine.carried == {}
+
+
+def test_non_contracting_model_is_never_carried():
+    # theta = 1.04: the residual recursion grows 4% a cell, so residuals
+    # carried from tick to tick drift away from those of a restart
+    model = predictive.ArimaModel(
+        order=predictive.ArimaOrder(1, 1, 1),
+        phi=np.array([0.2]),
+        theta=np.array([1.04]),
+        seasonal_phi=np.empty(0),
+        seasonal_theta=np.empty(0),
+        intercept=0.0,
+        residual_rms=1.0,
+    )
+    assert not model.recursion_contracts
+    det = ensemble.FittedDetector("arima:value", "arima", P, "value", {"model": model, "rms": 1.0})
+    x = np.cumsum(np.random.default_rng(12).standard_normal(160))
+    config = EngineConfig()
+    state = {}
+    for k in range(100):
+        database = x[k : k + 60]
+        carried = ensemble._predictive_point_flags(det, database, 59, config, state)
+        # a restart, as every tick made before states were carried
+        restarted = ensemble._predictive_point_flags(det, database, 59, config)
+        assert np.array_equal(carried, restarted)
+    assert "carry" not in state
+
+
+def test_deep_copied_engine_alarms_like_its_original():
+    at = 3 * 3600 - 40 * 60
+    engine, grids, fit_cells = stream_fixture(
+        predictive_detectors=ARIMA_KINDS, injections=[synth.Injection(synth.SPIKE, at, 60.0)]
+    )
+    for i in range(fit_cells, fit_cells + 5):
+        advance_one(engine, grids, i)
+    twin = copy.deepcopy(engine)
+    assert any("carry" in state for state in twin.carried.values())
+    alarms = []
+    for i in range(fit_cells + 5, fit_cells + 40):
+        ours = advance_one(engine, grids, i)
+        assert advance_one(twin, grids, i) == ours
+        alarms += ours
+    assert alarms

@@ -8,7 +8,6 @@ import math
 import numpy as np
 import pytest
 
-from ethsentinel import _hot, _hot_py
 from ethsentinel.errors import DataError
 from ethsentinel.kernels import (
     KernelSpec,
@@ -150,36 +149,3 @@ def test_one_class_rejects_bad_nu():
         one_class_fit(X, KernelSpec(), 0.01)  # below 1/n
     with pytest.raises(DataError):
         one_class_fit(X, KernelSpec(), 1.5)
-
-
-def test_hot_backends_agree_smo():
-    if _hot.smo_solve is _hot_py.smo_solve:
-        pytest.skip("compiled extension not available")
-    rng = np.random.default_rng(8)
-    X = rng.standard_normal((60, 3))
-    G = gram(KernelSpec(), X)
-    C = 1.0 / (0.1 * 60)
-
-    def run(backend):
-        a = np.zeros(60)
-        a[: int(1.0 / C)] = C
-        a[int(1.0 / C)] = 1.0 - int(1.0 / C) * C
-        iters, converged, _ = backend(np.ascontiguousarray(G), a, C, 1e-6, 100000, False)
-        return a, iters, converged
-
-    a_c, it_c, conv_c = run(_hot.smo_solve)
-    a_py, it_py, conv_py = run(_hot_py.smo_solve)
-    assert conv_c and conv_py
-    assert it_c == it_py
-    assert np.allclose(a_c, a_py, atol=1e-12)
-
-
-def test_hot_backends_agree_css():
-    if _hot.css_residuals is _hot_py.css_residuals:
-        pytest.skip("compiled extension not available")
-    rng = np.random.default_rng(9)
-    w = rng.standard_normal(500)
-    args = (w, 0.1, np.array([0.5]), np.array([0.2]), np.array([-0.3]), np.array([0.1]), 7, 14)
-    res_c = _hot.css_residuals(*args)
-    res_py = _hot_py.css_residuals(*args)
-    assert np.allclose(res_c, res_py, atol=1e-12)

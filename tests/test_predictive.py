@@ -17,6 +17,7 @@ from ethsentinel.predictive import (
     aic,
     arima_fit,
     arima_predict_in_sample,
+    arima_residuals,
     cart_fit,
     cart_predict,
     grid_search_order,
@@ -75,6 +76,38 @@ def test_in_sample_residuals_reconstruct_predictions():
     preds, residuals, offset = arima_predict_in_sample(model, x)
     assert len(preds) == len(residuals) == len(x) - offset
     assert np.allclose(x[offset:] - preds, residuals)
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        ArimaOrder(1, 1, 1),
+        ArimaOrder(1, 1, 1, (1, 0, 1, 24)),
+        ArimaOrder(1, 0, 1, (0, 1, 1, 12)),
+    ],
+    ids=str,
+)
+def test_carried_residuals_equal_one_pass(order):
+    rng = np.random.default_rng(11)
+    t = np.arange(600)
+    x = np.cumsum(0.3 * rng.standard_normal(600)) + np.sin(2 * np.pi * t / 12) + rng.standard_normal(600)
+    model = arima_fit(x[:400], order)
+    _, full, full_offset = arima_predict_in_sample(model, x)
+    m = 450
+    head, offset, head_carry = arima_residuals(model, x[:m])
+    assert offset == full_offset
+    # one cell per step, on a database that drops its oldest cell
+    parts, carry = [head], head_carry
+    for i in range(m, len(x)):
+        database = x[i - 299 : i + 1]
+        residuals, offset, carry = arima_residuals(model, database, 299, carry)
+        assert offset == 299 and len(residuals) == 1
+        parts.append(residuals)
+    assert np.array_equal(np.concatenate(parts), full)
+    # the rest in one step
+    rest, offset, _ = arima_residuals(model, x, m, head_carry)
+    assert offset == m
+    assert np.array_equal(np.concatenate([head, rest]), full)
 
 
 def one_step_forecast(model, x):

@@ -22,6 +22,8 @@ from ethsentinel.reduction import (
     score_threshold,
 )
 
+from oracles import naive_iforest_score
+
 
 def charpoly_eigenvalues(A):
     """Oracle: roots of det(A - lambda I) via the coefficient route."""
@@ -106,6 +108,33 @@ def test_iforest_deterministic():
     s1 = iforest_score(iforest_fit(X, 30, 32, seed=7), X)
     s2 = iforest_score(iforest_fit(X, 30, 32, seed=7), X)
     assert np.array_equal(s1, s2)
+
+
+@pytest.mark.parametrize(
+    "rows, trees, subsample",
+    [(1, 100, 256), (5, 100, 256), (5756, 100, 256), (5, 1, 256), (5, 100, 2)],
+)
+def test_iforest_matches_linked_tree_oracle(rows, trees, subsample):
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((600, 5))
+    forest = iforest_fit(X, trees, subsample, seed=3)
+    Y = np.vstack([X, 4.0 * rng.standard_normal((5756, 5))])[:rows]
+    assert np.array_equal(iforest_score(forest, Y), naive_iforest_score(X, trees, subsample, 3, Y))
+
+
+def test_iforest_single_row_and_leaf_root_match_oracle():
+    rng = np.random.default_rng(10)
+    X = rng.standard_normal((100, 3))
+    forest = iforest_fit(X, 20, 32, seed=4)
+    score = iforest_score(forest, X[7])
+    assert isinstance(score, float)
+    assert score == naive_iforest_score(X, 20, 32, 4, X[7])
+    # every subsample is all-identical rows: each root is a leaf
+    same = np.ones((40, 3))
+    forest = iforest_fit(same, 10, 16, seed=5)
+    assert np.array_equal(forest.roots, 2 * np.arange(10))
+    rows = np.vstack([same[:3], X[:3]])
+    assert np.array_equal(iforest_score(forest, rows), naive_iforest_score(same, 10, 16, 5, rows))
 
 
 def test_ae_gradients_match_central_differences():
