@@ -109,16 +109,27 @@ def silhouette_score(X: np.ndarray, labels: np.ndarray) -> float:
     uniq = np.unique(labels)
     if len(uniq) < 2:
         return 0.0
+    # a: mean distance to the rest of the own cluster; b: least mean
+    # distance to another cluster. Each mean runs over one row of a
+    # contiguous block, in the order of dist[i, members].mean()
+    a = np.zeros(n)
+    b = np.full(n, np.inf)
+    alone = np.zeros(n, dtype=bool)
+    for cluster in uniq:
+        members = np.flatnonzero(labels == cluster)
+        m = len(members)
+        block = dist[:, members]
+        others = labels != cluster
+        b[others] = np.minimum(b[others], block[others].mean(axis=1))
+        if m == 1:
+            alone[members] = True
+        else:
+            own = block[members][~np.eye(m, dtype=bool)].reshape(m, m - 1)
+            a[members] = own.mean(axis=1)
+    top = np.maximum(a, b)
+    scored = ~alone & (top > 0)
     sil = np.zeros(n)
-    for i in range(n):
-        own = labels[i]
-        same = labels == own
-        same[i] = False
-        if not same.any():
-            continue
-        a = dist[i, same].mean()
-        b = min(dist[i, labels == other].mean() for other in uniq if other != own)
-        sil[i] = (b - a) / max(a, b) if max(a, b) > 0 else 0.0
+    sil[scored] = (b[scored] - a[scored]) / top[scored]
     return float(sil.mean())
 
 
@@ -181,7 +192,8 @@ def estimate_eps(X: np.ndarray, k: int) -> float:
     n = len(X)
     if n <= k:
         raise DataError("need more rows than k")
-    dist = np.sqrt(sq_dists(X, X))
-    kth = np.sort(dist, axis=1)[:, k]  # column 0 is the point itself
+    # column 0 is the point itself; the square root is monotone, so it
+    # is taken of the k-th squared distance only
+    kth = np.sqrt(np.partition(sq_dists(X, X), k, axis=1)[:, k])
     return float(np.quantile(kth, 0.95))
 

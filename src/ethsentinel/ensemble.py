@@ -207,11 +207,24 @@ def _fit_knn(train, config, seed):
     X, y = predictive._lag_pairs(train, lags)
     if k >= len(X):
         raise FitError("not enough training pairs for k-NN")
-    # leave-self-out residuals, else in-sample RMS degenerates to 0
-    dist = kernels.sq_dists(X, X)
-    np.fill_diagonal(dist, np.inf)
-    preds = _knn_mean_targets(dist, y, k)
+
+    def predict(block, lo):
+        # leave-self-out residuals, else in-sample RMS degenerates to 0
+        dist = kernels.sq_dists(block, X)
+        own = np.arange(len(block))
+        dist[own, lo + own] = np.inf
+        return _knn_mean_targets(dist, y, k)
+
+    preds = kernels.by_row_blocks(predict, X)
     return {"X": X, "y": y, "lags": lags, "k": k, "rms": rms(y - preds)}
+
+
+def _knn_predictions(payload, contexts):
+    def predict(block, lo):
+        dist = kernels.sq_dists(block, payload["X"])
+        return _knn_mean_targets(dist, payload["y"], payload["k"])
+
+    return kernels.by_row_blocks(predict, contexts)
 
 
 def _holdout_rms(X, y, model, predict, fit_head) -> float:
@@ -302,8 +315,11 @@ def _fit_dbscan(rows, config, seed):
 def _score_dbscan(payload, rows):
     # density rule against the reference database: a row with fewer
     # than min_pts neighbors within eps (itself included) is noise
-    sq = kernels.sq_dists(rows, payload["reference"])
-    return np.sum(sq <= payload["eps"] ** 2, axis=1) + 1 < payload["min_pts"]
+    def neighbours(block, lo):
+        sq = kernels.sq_dists(block, payload["reference"])
+        return np.sum(sq <= payload["eps"] ** 2, axis=1)
+
+    return kernels.by_row_blocks(neighbours, rows) + 1 < payload["min_pts"]
 
 
 def _fit_ocsvm(rows, config, seed):
@@ -363,12 +379,7 @@ DETECTOR_KINDS = {
         _score_arima,
     ),
     "stl": DetectorKind(_fit_stl, _score_stl),
-    "knn": DetectorKind(
-        _fit_knn,
-        _lag_scorer(
-            lambda p, X: _knn_mean_targets(kernels.sq_dists(X, p["X"]), p["y"], p["k"])
-        ),
-    ),
+    "knn": DetectorKind(_fit_knn, _lag_scorer(_knn_predictions)),
     "cart": DetectorKind(_fit_cart, _lag_scorer(lambda p, X: _cart_predictions(p["model"], X))),
     "kridge": DetectorKind(
         _fit_kridge, _lag_scorer(lambda p, X: kernels.kernel_ridge_predict(p["model"], X))

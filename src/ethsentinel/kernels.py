@@ -1,6 +1,8 @@
 """Kernel functions, Gram matrices, kernel ridge regression and the
 nu-one-class kernel machine behind the OCSVM detector. ``sq_dists`` is
-the package's one pairwise squared-distance helper.
+the package's one pairwise squared-distance helper, and
+``by_row_blocks`` builds a (rows x reference) matrix a block of rows at
+a time, so that no distance matrix grows with the square of a series.
 
 The one-class dual (minimize 0.5*a'Ga s.t. 0 <= a_i <= 1/(nu*n),
 sum a = 1) is solved by most-violating-pair coordinate descent
@@ -23,6 +25,8 @@ RBF = "rbf"
 
 SMO_TOLERANCE = 1e-4
 SMO_MAX_ITER = 100_000
+
+_ROW_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -64,6 +68,16 @@ def sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     )
     np.maximum(sq, 0.0, out=sq)
     return sq
+
+
+def by_row_blocks(fn, A: np.ndarray) -> np.ndarray:
+    """``fn(block, lo)`` on the rows [lo, lo + 512) of A in turn, the
+    results joined along the first axis. A lone last row joins the block
+    before it: numpy takes a one-row product through its vector routine,
+    which rounds differently from the matrix product of a larger block."""
+    los = list(range(0, len(A) - 1, _ROW_BLOCK)) or [0]
+    parts = [fn(A[lo:hi], lo) for lo, hi in zip(los, [*los[1:], len(A)])]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def kernel_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray, gamma: float | None = None) -> np.ndarray:
@@ -197,6 +211,10 @@ def one_class_decision(model: OneClassModel, x: np.ndarray) -> np.ndarray | floa
     """Sum_i a_i k(sv_i, x) - rho; negative flags an anomaly."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
-    K = kernel_matrix(model.spec, np.atleast_2d(x), model.support_vectors, gamma=model.gamma)
-    dec = K @ model.alphas - model.rho
+
+    def decide(block, lo):
+        K = kernel_matrix(model.spec, block, model.support_vectors, gamma=model.gamma)
+        return K @ model.alphas - model.rho
+
+    dec = by_row_blocks(decide, np.atleast_2d(x))
     return float(dec[0]) if single else dec

@@ -515,28 +515,27 @@ def _best_split(X: np.ndarray, y: np.ndarray, min_leaf: int):
     total_sum = y.sum()
     total_sq = float(y @ y)
     base_sse = total_sq - total_sum**2 / n
-    best = None
-    for f in range(X.shape[1]):
-        idx = np.argsort(X[:, f], kind="stable")
-        xs = X[idx, f]
-        ys = y[idx]
-        csum = np.cumsum(ys)
-        csq = np.cumsum(ys * ys)
-        for cut in range(min_leaf, n - min_leaf + 1):
-            if cut < 1 or cut > n - 1 or xs[cut - 1] == xs[cut]:
-                continue
-            left_sse = csq[cut - 1] - csum[cut - 1] ** 2 / cut
-            right_n = n - cut
-            right_sum = total_sum - csum[cut - 1]
-            right_sse = (total_sq - csq[cut - 1]) - right_sum**2 / right_n
-            reduction = base_sse - left_sse - right_sse
-            threshold = 0.5 * (xs[cut - 1] + xs[cut])
-            key = (-reduction, f, threshold)
-            if best is None or key < best[0]:
-                best = (key, f, threshold, reduction)
-    if best is None or best[3] <= 1e-12:
+    # every feature's cuts at once, one row per feature: a cut leaves
+    # the first ``cut`` sorted rows on the left
+    cuts = np.arange(max(min_leaf, 1), min(n - min_leaf, n - 1) + 1)
+    if len(cuts) == 0:
         return None
-    return best[1], best[2]
+    order = np.argsort(X.T, axis=1, kind="stable")
+    xs = np.take_along_axis(X.T, order, axis=1)
+    ys = y[order]
+    csum = np.cumsum(ys, axis=1)[:, cuts - 1]
+    csq = np.cumsum(ys * ys, axis=1)[:, cuts - 1]
+    left_sse = csq - csum**2 / cuts
+    right_sum = total_sum - csum
+    right_sse = (total_sq - csq) - right_sum**2 / (n - cuts)
+    reduction = base_sse - left_sse - right_sse
+    # no cut between equal values; the first maximum in feature-major
+    # order has the lowest feature, then the lowest threshold
+    reduction[xs[:, cuts - 1] == xs[:, cuts]] = -np.inf
+    f, c = np.unravel_index(np.argmax(reduction), reduction.shape)
+    if reduction[f, c] <= 1e-12:
+        return None
+    return int(f), 0.5 * (xs[f, cuts[c] - 1] + xs[f, cuts[c]])
 
 
 def _grow(X, y, depth, max_depth, min_leaf) -> CartNode:

@@ -249,10 +249,8 @@ def _ae_forward(W1, b1, W2, b2, X):
     return hidden, hidden @ W2.T + b2
 
 
-def ae_gradients(W1, b1, W2, b2, X):
-    """Mean-squared-reconstruction-error gradients by backprop."""
+def _ae_backward(W2, X, hidden, out):
     n, w = X.shape
-    hidden, out = _ae_forward(W1, b1, W2, b2, X)
     delta_out = 2.0 * (out - X) / (n * w)
     gW2 = delta_out.T @ hidden
     gb2 = delta_out.sum(axis=0)
@@ -260,6 +258,11 @@ def ae_gradients(W1, b1, W2, b2, X):
     gW1 = delta_hidden.T @ X
     gb1 = delta_hidden.sum(axis=0)
     return gW1, gb1, gW2, gb2
+
+
+def ae_gradients(W1, b1, W2, b2, X):
+    """Mean-squared-reconstruction-error gradients by backprop."""
+    return _ae_backward(W2, X, *_ae_forward(W1, b1, W2, b2, X))
 
 
 def ae_loss(W1, b1, W2, b2, X):
@@ -287,17 +290,20 @@ def ae_train(
     W2 = rng.uniform(-r, r, size=(w, hidden))
     b2 = np.zeros(w)
     history = np.empty(epochs)
+    # one forward pass per epoch: the pass after an update gives that
+    # update's loss and the next update's gradients
+    hidden, out = _ae_forward(W1, b1, W2, b2, X)
     for epoch in range(epochs):
-        gW1, gb1, gW2, gb2 = ae_gradients(W1, b1, W2, b2, X)
+        gW1, gb1, gW2, gb2 = _ae_backward(W2, X, hidden, out)
         W1 -= learning_rate * gW1
         b1 -= learning_rate * gb1
         W2 -= learning_rate * gW2
         b2 -= learning_rate * gb2
-        loss = ae_loss(W1, b1, W2, b2, X)
+        hidden, out = _ae_forward(W1, b1, W2, b2, X)
+        loss = float(np.mean((out - X) ** 2))
         if not math.isfinite(loss):
             raise NumericError(f"non-finite training loss at epoch {epoch}")
         history[epoch] = loss
-    _, out = _ae_forward(W1, b1, W2, b2, X)
     errors = np.mean((out - X) ** 2, axis=1)
     return AutoencoderModel(
         W1=W1,

@@ -140,3 +140,95 @@ def naive_iforest_score(X, tree_count, subsample_size, seed, x):
     mean_path /= tree_count
     scores = 2.0 ** (-mean_path / average_path_length(subsample_size))
     return float(scores[0]) if x.ndim == 1 else scores
+
+
+def naive_knn_loo_predictions(train, lags, k):
+    """Reference leave-self-out k-NN forecasts: the whole (pairs x
+    pairs) distance matrix with its diagonal set to +inf."""
+    from ethsentinel.ensemble import _knn_mean_targets
+    from ethsentinel.kernels import sq_dists
+    from ethsentinel.predictive import _lag_pairs
+
+    X, y = _lag_pairs(train, lags)
+    dist = sq_dists(X, X)
+    np.fill_diagonal(dist, np.inf)
+    return y, _knn_mean_targets(dist, y, k)
+
+
+def naive_best_split(X, y, min_leaf):
+    """Reference CART split: every cut of every feature in turn, kept
+    when its (-reduction, feature, threshold) key is the least so far."""
+    n = len(y)
+    total_sum = y.sum()
+    total_sq = float(y @ y)
+    base_sse = total_sq - total_sum**2 / n
+    best = None
+    for f in range(X.shape[1]):
+        idx = np.argsort(X[:, f], kind="stable")
+        xs = X[idx, f]
+        ys = y[idx]
+        csum = np.cumsum(ys)
+        csq = np.cumsum(ys * ys)
+        for cut in range(min_leaf, n - min_leaf + 1):
+            if cut < 1 or cut > n - 1 or xs[cut - 1] == xs[cut]:
+                continue
+            left_sse = csq[cut - 1] - csum[cut - 1] ** 2 / cut
+            right_n = n - cut
+            right_sum = total_sum - csum[cut - 1]
+            right_sse = (total_sq - csq[cut - 1]) - right_sum**2 / right_n
+            reduction = base_sse - left_sse - right_sse
+            threshold = 0.5 * (xs[cut - 1] + xs[cut])
+            key = (-reduction, f, threshold)
+            if best is None or key < best[0]:
+                best = (key, f, threshold, reduction)
+    if best is None or best[3] <= 1e-12:
+        return None
+    return best[1], best[2]
+
+
+def naive_silhouette(X, labels):
+    """Reference mean silhouette (Rousseeuw 1987), one point at a time."""
+    from ethsentinel.kernels import sq_dists
+
+    n = len(X)
+    dist = np.sqrt(sq_dists(X, X))
+    uniq = np.unique(labels)
+    if len(uniq) < 2:
+        return 0.0
+    sil = np.zeros(n)
+    for i in range(n):
+        own = labels[i]
+        same = labels == own
+        same[i] = False
+        if not same.any():
+            continue
+        a = dist[i, same].mean()
+        b = min(dist[i, labels == other].mean() for other in uniq if other != own)
+        sil[i] = (b - a) / max(a, b) if max(a, b) > 0 else 0.0
+    return float(sil.mean())
+
+
+def naive_ae_train(X, hidden, epochs, learning_rate, seed):
+    """Reference autoencoder training: fresh gradients and a second
+    forward pass for the loss after each update. Returns the weights,
+    the loss history and the training errors per window."""
+    from ethsentinel.reduction import _ae_forward, ae_gradients, ae_loss
+
+    n, w = X.shape
+    rng = np.random.default_rng(seed)
+    r = math.sqrt(6.0 / (w + hidden))
+    W1 = rng.uniform(-r, r, size=(hidden, w))
+    b1 = np.zeros(hidden)
+    W2 = rng.uniform(-r, r, size=(w, hidden))
+    b2 = np.zeros(w)
+    history = np.empty(epochs)
+    for epoch in range(epochs):
+        gW1, gb1, gW2, gb2 = ae_gradients(W1, b1, W2, b2, X)
+        W1 -= learning_rate * gW1
+        b1 -= learning_rate * gb1
+        W2 -= learning_rate * gW2
+        b2 -= learning_rate * gb2
+        history[epoch] = ae_loss(W1, b1, W2, b2, X)
+    _, out = _ae_forward(W1, b1, W2, b2, X)
+    errors = np.mean((out - X) ** 2, axis=1)
+    return (W1, b1, W2, b2), history, errors

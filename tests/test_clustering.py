@@ -14,8 +14,8 @@ from ethsentinel.clustering import (
     silhouette_score,
 )
 from ethsentinel.errors import DataError
-from ethsentinel.kernels import KernelSpec, one_class_decision, one_class_fit
-from oracles import NOISE, naive_dbscan, same_partition
+from ethsentinel.kernels import KernelSpec, one_class_decision, one_class_fit, sq_dists
+from oracles import NOISE, naive_dbscan, naive_silhouette, same_partition
 
 
 def blobs(seed, centers, n_per, spread=0.3):
@@ -53,8 +53,36 @@ def test_estimate_eps_bounds():
     eps = estimate_eps(X, 4)
     # heuristic eps must be positive and below the data diameter
     assert 0 < eps < 5.0
+    # the k-th distance of each row, as from fully sorted distances
+    assert eps == float(np.quantile(np.sort(np.sqrt(sq_dists(X, X)), axis=1)[:, 4], 0.95))
     with pytest.raises(DataError):
         estimate_eps(X[:3], 4)
+
+
+def silhouette_cases():
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((60, 2))
+    labels = rng.integers(0, 4, 60)
+    singletons = labels.copy()
+    singletons[[3, 17]] = [7, 9]  # two clusters of one point each
+    grid = np.round(rng.uniform(0, 3, (80, 2)))  # repeated points, zero distances
+    sample = blobs(12, [[0, 0], [4, 0], [0, 4], [4, 4]], 200, 0.8)
+    idx = np.random.default_rng(0).choice(len(sample), size=500, replace=False)
+    sample = sample[idx]
+    model = kmeans_fit(sample, 6, seed=0)  # select_k's 500-point case
+    return [
+        (X, labels),
+        (X, singletons),
+        (grid, rng.integers(0, 3, 80)),
+        (X, np.zeros(60, dtype=int)),  # one label: 0.0
+        (sample, np.argmin(sq_dists(sample, model.centroids), axis=1)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_silhouette_matches_per_point_oracle(case):
+    X, labels = silhouette_cases()[case]
+    assert silhouette_score(X, labels) == naive_silhouette(X, labels)
 
 
 def test_kmeans_recovers_separated_blobs():

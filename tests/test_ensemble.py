@@ -7,7 +7,7 @@ import copy
 import numpy as np
 import pytest
 
-from ethsentinel import ensemble, predictive, synth
+from ethsentinel import ensemble, kernels, predictive, synth
 from ethsentinel.config import CLUSTERING_KINDS, PREDICTIVE_KINDS, REDUCTION_KINDS, EngineConfig
 from ethsentinel.ensemble import (
     DetectorCategory,
@@ -20,6 +20,7 @@ from ethsentinel.ensemble import (
 )
 from ethsentinel.errors import DataError, FitError
 from ethsentinel.series import TimeSeries
+from oracles import naive_knn_loo_predictions
 
 
 def verdict(det_id, cat, flags, ts=None):
@@ -454,3 +455,44 @@ def test_deep_copied_engine_alarms_like_its_original():
         assert advance_one(twin, grids, i) == ours
         alarms += ours
     assert alarms
+
+
+@pytest.mark.parametrize("pairs", [6, 511, 512, 513, 1500])
+def test_knn_fit_matches_whole_matrix_oracle(pairs):
+    # the leave-self-out forecasts, one row block at a time, equal those
+    # of the whole distance matrix with its diagonal set to +inf
+    config = EngineConfig()
+    train = np.random.default_rng(pairs).standard_normal(pairs + config.knn_lags)
+    y, preds = naive_knn_loo_predictions(train, config.knn_lags, config.knn_k)
+    payload = ensemble._fit_knn(train, config, seed=0)
+    assert len(payload["y"]) == pairs
+    assert payload["rms"] == ensemble.rms(y - preds)
+
+
+def test_no_distance_matrix_grows_with_the_square_of_the_series(monkeypatch):
+    # a refit on 2 days of cells and the batch scoring after it: every
+    # distance matrix stays within the reference cap squared
+    config = EngineConfig(
+        predictive_detectors=("knn",),
+        reduction_detectors=(),
+        clustering_detectors=("dbscan", "ocsvm"),
+    )
+    txs, _ = small_stream(seed=2, duration=2 * 86400)
+    grids = build_grids(txs, config)
+    n = len(next(iter(grids.values())))
+    assert n > config.boundary_subsample
+    sizes = []
+    sq_dists = kernels.sq_dists
+
+    def recording(A, B):
+        out = sq_dists(A, B)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(kernels, "sq_dists", recording)
+    detectors, warnings = ensemble.fit_bank(grids, config)
+    assert not warnings
+    split = int(round(config.train_ratio * n))
+    ensemble.score_bank(detectors, grids, config, predictive_start=split)
+    assert sizes
+    assert max(sizes) <= config.boundary_subsample**2

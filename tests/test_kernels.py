@@ -11,6 +11,7 @@ import pytest
 from ethsentinel.errors import DataError
 from ethsentinel.kernels import (
     KernelSpec,
+    by_row_blocks,
     gram,
     kernel_matrix,
     kernel_ridge_fit,
@@ -33,6 +34,31 @@ def test_kernel_matrix_matches_closed_form():
     expected = math.exp(-0.3 * ((1 + 1) ** 2 + 1.5**2))
     assert kernel_matrix(spec, x, y)[0, 0] == pytest.approx(expected, rel=1e-15)
     assert kernel_matrix(spec, x, x)[0, 0] == 1.0
+
+
+@pytest.mark.parametrize(
+    "n, sizes",
+    [
+        (0, [0]),
+        (1, [1]),
+        (512, [512]),
+        (513, [513]),
+        (1024, [512, 512]),
+        (1025, [512, 513]),
+        (1026, [512, 512, 2]),
+    ],
+)
+def test_row_blocks_cover_each_row_once(n, sizes):
+    # 512-row blocks; a lone last row joins the block before it
+    A = np.arange(2.0 * n).reshape(n, 2)
+    seen = []
+
+    def first_column(block, lo):
+        seen.append((lo, len(block)))
+        return block[:, 0]
+
+    assert np.array_equal(by_row_blocks(first_column, A), A[:, 0])
+    assert seen == list(zip(np.cumsum([0, *sizes[:-1]]).tolist(), sizes))
 
 
 def test_squared_distances_non_negative_on_near_duplicates():

@@ -13,6 +13,7 @@ from ethsentinel.errors import DataError, FitError
 from ethsentinel.kernels import sq_dists
 from ethsentinel.predictive import (
     ArimaOrder,
+    _best_split,
     _lag_pairs,
     aic,
     arima_fit,
@@ -25,6 +26,8 @@ from ethsentinel.predictive import (
     select_order_aic,
     stl_decompose,
 )
+
+from oracles import naive_best_split
 
 
 def simulate_arma(phi, theta, n, seed, noise=1.0, burn=200):
@@ -216,6 +219,37 @@ def test_cart_root_split_matches_exhaustive_oracle():
     preds = np.array([cart_predict(tree, X[i]) for i in range(n_pairs)])
     sse = float(np.sum((y - preds) ** 2))
     assert sse <= exhaustive_best_split(X, y, min_leaf) + 1e-9
+
+
+def split_cases():
+    rng = np.random.default_rng(12)
+    X = rng.standard_normal((200, 5))
+    y = rng.standard_normal(200)
+    ties = np.round(rng.standard_normal((150, 4)))  # duplicated x values
+    flat = X[:100].copy()
+    flat[:, 1] = 2.5  # a constant feature
+    return [
+        (X, y, 5),
+        (X, y, 1),
+        (ties, rng.integers(0, 3, 150).astype(float), 5),
+        (X[:40], y[:40], 19),  # min_leaf near n/2
+        (X[:40], y[:40], 20),
+        (X[:41], y[:41], 21),  # no cut leaves min_leaf on both sides
+        (flat, y[:100], 3),
+        (flat[:, 1:2], y[:100], 3),  # nothing to split on
+        (ties[:, :1], np.full(150, 1.5), 5),  # nothing to gain
+        # cuts 1 and 3 tie, and so do the two equal features
+        (np.column_stack([np.arange(4.0)] * 2), np.array([0.0, 2.0, 2.0, 0.0]), 1),
+    ]
+
+
+@pytest.mark.parametrize("case", range(10))
+def test_best_split_matches_cut_loop_oracle(case):
+    X, y, min_leaf = split_cases()[case]
+    got, want = _best_split(X, y, min_leaf), naive_best_split(X, y, min_leaf)
+    assert got == want
+    if want is not None:
+        assert type(got[0]) is type(want[0]) and type(got[1]) is type(want[1])
 
 
 def test_cart_fits_step_function_exactly():

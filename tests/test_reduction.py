@@ -22,7 +22,7 @@ from ethsentinel.reduction import (
     score_threshold,
 )
 
-from oracles import naive_iforest_score
+from oracles import naive_ae_train, naive_iforest_score
 
 
 def charpoly_eigenvalues(A):
@@ -162,6 +162,22 @@ def test_ae_gradients_match_central_differences():
             scale = max(abs(numeric), abs(analytic), 1e-8)
             worst = max(worst, abs(numeric - analytic) / scale)
     assert worst < 1e-4
+
+
+@pytest.mark.parametrize(
+    "rows, width, hidden, epochs", [(10, 4, 2, 1), (40, 8, 3, 100), (300, 32, 8, 200)]
+)
+def test_ae_train_matches_two_pass_oracle(rows, width, hidden, epochs):
+    # one forward pass per epoch gives the same floats as a gradient
+    # pass plus a separate loss pass after each update
+    X = np.random.default_rng(rows).standard_normal((rows, width))
+    model = ae_train(X, hidden, epochs, 0.01, seed=5)
+    weights, history, errors = naive_ae_train(X, hidden, epochs, 0.01, seed=5)
+    for got, want in zip((model.W1, model.b1, model.W2, model.b2), weights):
+        assert np.array_equal(got, want)
+    assert np.array_equal(model.loss_history, history)
+    assert model.training_error_mean == float(errors.mean())
+    assert model.training_error_std == float(errors.std())
 
 
 def test_ae_training_loss_monotone():
