@@ -75,32 +75,19 @@ def _alarm_line(ts, account, categories, alarm, detectors, features=None) -> str
 
 
 def _report_lines(report, grids, account: str):
-    feature_names = list(grids)
+    """Report records; record i is cell i of the grids' timeline."""
     for i, ts in enumerate(report.timestamps):
-        categories = {
-            name: {
-                "flagged": int(tally.flagged[i]),
-                "total": int(tally.total[i]),
-                "decision": bool(tally.decision[i]),
-            }
-            for name, tally in report.categories.items()
-        }
-        t = int(ts)
-        features = {
-            name: repr(float(grids[name].values[np.searchsorted(grids[name].timestamps, t)]))
-            for name in feature_names
-        }
+        categories = report.categories_at(i)
+        features = {name: repr(float(grid.values[i])) for name, grid in grids.items()}
         yield _alarm_line(
-            t, account, categories, report.alarm[i], report.flagging_detectors[i], features
+            ts, account, categories, report.alarm[i], report.flagging_detectors[i], features
         )
 
 
 def cmd_detect_batch(args) -> int:
     config = _engine_config(args)
     transactions = _load_transactions(args.input, config.keep_failed)
-    report = ensemble.run_batch(transactions, config)
-    grids = ensemble.build_grids(transactions, config)
-    # restrict the value lookup to the reported timeline
+    grids, report = ensemble.detect_batch(transactions, config)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         for line in _report_lines(report, grids, args.account):
             fh.write(line + "\n")

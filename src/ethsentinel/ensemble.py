@@ -58,13 +58,12 @@ _FEATURE_BY_NAME = {
 
 @dataclass(frozen=True)
 class DetectorVerdict:
-    """One detector's per-point flags (and raw scores when available)."""
+    """One detector's per-point flags."""
 
     detector_id: str
     category: DetectorCategory
     timestamps: np.ndarray = field(repr=False)
     flags: np.ndarray = field(repr=False)
-    scores: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if len(self.flags) != len(self.timestamps):
@@ -88,6 +87,17 @@ class EnsembleReport:
 
     def alarm_timestamps(self) -> np.ndarray:
         return self.timestamps[self.alarm]
+
+    def categories_at(self, i: int) -> dict:
+        """The category tallies of record ``i``, as records carry them."""
+        return {
+            name: {
+                "flagged": int(tally.flagged[i]),
+                "total": int(tally.total[i]),
+                "decision": bool(tally.decision[i]),
+            }
+            for name, tally in self.categories.items()
+        }
 
 
 @dataclass(frozen=True)
@@ -180,7 +190,7 @@ def _score_arima(payload, values, start, state):
     if state is not None and model.recursion_contracts:
         state["carry"] = carry
     first = max(start, offset)
-    return first, residuals[first - offset :]
+    return first, np.abs(residuals[first - offset :])
 
 
 def _fit_stl(train, config, seed):
@@ -192,7 +202,7 @@ def _score_stl(payload, values, start, state):
     period = payload["period"]
     if len(values) < 2 * period:
         return len(values), np.empty(0)
-    return start, predictive.stl_decompose(values, period).residual[start:]
+    return start, np.abs(predictive.stl_decompose(values, period).residual[start:])
 
 
 def _knn_mean_targets(sq_dists: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
@@ -276,8 +286,9 @@ def _fit_kridge(train, config, seed):
 
 
 def _lag_scorer(predict):
-    """Score of a lag-vector forecaster: the residuals of its one-step
-    forecasts ``predict(payload, contexts)`` from cell max(start, lags)."""
+    """Score of a lag-vector forecaster: the absolute residuals of its
+    one-step forecasts ``predict(payload, contexts)`` from cell
+    max(start, lags)."""
 
     def score(payload, values, start, state):
         lags = payload["lags"]
@@ -285,7 +296,7 @@ def _lag_scorer(predict):
         if first >= len(values):
             return len(values), np.empty(0)
         contexts, actuals = predictive._lag_pairs(values[first - lags :], lags)
-        return first, actuals - predict(payload, contexts)
+        return first, np.abs(actuals - predict(payload, contexts))
 
     return score
 
@@ -309,28 +320,28 @@ def _fit_dbscan(rows, config, seed):
         )
     if eps <= 0.0:
         eps = 1e-9
-    return {"reference": reference, "eps": eps, "min_pts": config.dbscan_min_pts}
+    return {"reference": reference, "eps": eps, "min_pts": config.dbscan_min_pts, "threshold": 0}
 
 
 def _score_dbscan(payload, rows):
-    # density rule against the reference database: a row with fewer
-    # than min_pts neighbors within eps (itself included) is noise
+    # density rule against the reference database: a row is noise when
+    # it lacks neighbours within eps (itself included) to reach min_pts
     def neighbours(block, lo):
         sq = kernels.sq_dists(block, payload["reference"])
         return np.sum(sq <= payload["eps"] ** 2, axis=1)
 
-    return kernels.by_row_blocks(neighbours, rows) + 1 < payload["min_pts"]
+    return payload["min_pts"] - 1 - kernels.by_row_blocks(neighbours, rows)
 
 
 def _fit_ocsvm(rows, config, seed):
     train = _subsample_rows(rows, config.boundary_subsample, seed)
     nu = max(config.ocsvm_nu, 1.0 / len(train))
-    return {"model": kernels.one_class_fit(train, kernels.KernelSpec(), nu)}
+    return {"model": kernels.one_class_fit(train, kernels.KernelSpec(), nu), "threshold": 0.0}
 
 
 def _thresholded(model, score, rows, config):
-    """A model that flags scores above mean + residual_multiplier * std
-    of its scores on the training rows."""
+    """A model whose threshold is mean + residual_multiplier * std of
+    its scores on the training rows."""
     threshold = reduction.score_threshold(score(model, rows), config.residual_multiplier)
     return {"model": model, "threshold": threshold}
 
@@ -351,17 +362,21 @@ def _fit_ae(rows, config, seed):
 class DetectorKind:
     """How one detector kind is fitted and scored.
 
-    A predictive kind fits on a training series, ``fit(train, config,
-    seed) -> payload``, and ``score(payload, values, start, state)``
-    returns ``(first, residuals)``: the one-step residuals of cells
-    [first, n), where first >= start. ``state`` is a dict the kind may
-    keep across the ticks of one stream, emptied when the bank is
-    refitted, or None in batch. A row kind fits on standardized rows,
-    ``fit(rows, config, seed) -> payload``, and flags standardized rows,
-    ``score(payload, rows) -> bool array``; its rows are the windows of
-    ``window(config)`` cells of each feature and, with ``multi``, of the
-    per-cell feature rows. The functions look library code up when
-    called, so a wrapper set on a module attribute sees every call.
+    A kind's scores are raw, higher meaning more anomalous, and its
+    fitted payload holds the ``threshold`` that ``_flags`` compares
+    them with. A predictive kind fits on a training series, ``fit(train,
+    config, seed) -> payload`` with the training residual ``rms``, whose
+    ``residual_multiplier`` multiple is its threshold; ``score(payload,
+    values, start, state)`` returns ``(first, scores)``, the absolute
+    one-step residuals of cells [first, n), where first >= start.
+    ``state`` is a dict the kind may keep across the ticks of one
+    stream, emptied when the bank is refitted, or None in batch. A row
+    kind fits on standardized rows, ``fit(rows, config, seed) ->
+    payload``, and scores standardized rows, ``score(payload, rows)``;
+    its rows are the windows of ``window(config)`` cells of each feature
+    and, with ``multi``, of the per-cell feature rows. The functions
+    look library code up when called, so a wrapper set on a module
+    attribute sees every call.
     """
 
     fit: Callable
@@ -388,25 +403,22 @@ DETECTOR_KINDS = {
         lambda rows, config, seed: _thresholded(
             reduction.pca_fit(rows, config.pca_explained), reduction.pca_score, rows, config
         ),
-        lambda p, rows: reduction.pca_score(p["model"], rows) > p["threshold"],
+        lambda p, rows: reduction.pca_score(p["model"], rows),
     ),
     "iforest": DetectorKind(
-        _fit_iforest, lambda p, rows: reduction.iforest_score(p["model"], rows) > p["threshold"]
+        _fit_iforest, lambda p, rows: reduction.iforest_score(p["model"], rows)
     ),
     # the autoencoder is wired univariate, on its own window length
     "ae": DetectorKind(
         _fit_ae,
-        lambda p, rows: reduction.ae_score(p["model"], rows) > p["threshold"],
+        lambda p, rows: reduction.ae_score(p["model"], rows),
         window=lambda config: config.ae_window,
         multi=False,
     ),
-    "kmeans": DetectorKind(
-        _fit_kmeans, lambda p, rows: clustering.kmeans_score(p["model"], rows) > p["threshold"]
-    ),
+    "kmeans": DetectorKind(_fit_kmeans, lambda p, rows: clustering.kmeans_score(p["model"], rows)),
     "dbscan": DetectorKind(_fit_dbscan, _score_dbscan),
     "ocsvm": DetectorKind(
-        _fit_ocsvm,
-        lambda p, rows: np.atleast_1d(kernels.one_class_decision(p["model"], rows)) < 0.0,
+        _fit_ocsvm, lambda p, rows: -kernels.one_class_decision(p["model"], rows)
     ),
 }
 
@@ -422,7 +434,8 @@ KIND_CATEGORY = (
 
 
 def _fit_predictive(kind: str, train: np.ndarray, config: EngineConfig, seed: int) -> dict:
-    return DETECTOR_KINDS[kind].fit(train, config, seed)
+    payload = DETECTOR_KINDS[kind].fit(train, config, seed)
+    return payload | {"threshold": config.residual_multiplier * payload["rms"]}
 
 
 def _fit_row_detector(kind: str, rows: np.ndarray, config: EngineConfig, seed: int) -> dict:
@@ -431,10 +444,15 @@ def _fit_row_detector(kind: str, rows: np.ndarray, config: EngineConfig, seed: i
     return {"mean": mean, "std": std, **DETECTOR_KINDS[kind].fit(std_rows, config, seed)}
 
 
+def _flags(scores: np.ndarray, payload: dict) -> np.ndarray:
+    """The flag rule of every detector: its score exceeds its threshold."""
+    return scores > payload["threshold"]
+
+
 def _score_rows(kind: str, payload: dict, rows: np.ndarray) -> np.ndarray:
     """Boolean flag per row for a fitted window/row detector."""
     std_rows = (rows - payload["mean"]) / payload["std"]
-    return DETECTOR_KINDS[kind].score(payload, std_rows)
+    return _flags(DETECTOR_KINDS[kind].score(payload, std_rows), payload)
 
 
 def fit_bank(
@@ -505,19 +523,13 @@ def fit_bank(
 
 
 def _predictive_point_flags(
-    det: FittedDetector,
-    values: np.ndarray,
-    start: int,
-    config: EngineConfig,
-    state: dict | None = None,
+    det: FittedDetector, values: np.ndarray, start: int, state: dict | None = None
 ) -> np.ndarray:
     """Flags for cells [start, n) from a fitted predictive detector;
     ``state`` is the detector's stream state, if any."""
-    first, residuals = DETECTOR_KINDS[det.kind].score(det.payload, values, start, state)
+    first, scores = DETECTOR_KINDS[det.kind].score(det.payload, values, start, state)
     flags = np.zeros(len(values) - start, dtype=bool)
-    flags[first - start :] = predictive.residual_threshold_detect(
-        np.zeros_like(residuals), residuals, det.payload["rms"], config.residual_multiplier
-    )
+    flags[first - start :] = _flags(scores, det.payload)
     return flags
 
 
@@ -577,7 +589,7 @@ def score_bank(
         if det.category is DetectorCategory.PREDICTIVE:
             start = predictive_start
             state = None if carried is None else carried.setdefault(det.detector_id, {})
-            flags = _predictive_point_flags(det, grids[det.group].values, start, config, state)
+            flags = _predictive_point_flags(det, grids[det.group].values, start, state)
         else:
             start = unsupervised_start
             values = (
@@ -657,9 +669,12 @@ def merge_group_votes(
     )
 
 
-def run_batch(transactions, config: EngineConfig) -> EnsembleReport:
+def detect_batch(
+    transactions, config: EngineConfig
+) -> tuple[dict[str, TimeSeries], EnsembleReport]:
     """Batch detection: 70/30 chronological split for the predictive
-    bank, everything else fits and scores the full span."""
+    bank, everything else fits and scores the full span. Returns the
+    grids with the report, whose records follow the grids' timeline."""
     if not (
         config.predictive_detectors
         or config.reduction_detectors
@@ -677,7 +692,12 @@ def run_batch(transactions, config: EngineConfig) -> EnsembleReport:
         raise FitError(f"every detector failed to fit: {warnings}")
     verdicts = score_bank(detectors, grids, config, predictive_start=split)
     timeline = next(iter(grids.values())).timestamps
-    return merge_group_votes(verdicts, timeline, config.alarm_categories, warnings)
+    return grids, merge_group_votes(verdicts, timeline, config.alarm_categories, warnings)
+
+
+def run_batch(transactions, config: EngineConfig) -> EnsembleReport:
+    """The report of ``detect_batch``."""
+    return detect_batch(transactions, config)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -818,14 +838,7 @@ def stream_advance(engine: StreamEngine, new_points: dict[str, TimeSeries]) -> l
             Alarm(
                 timestamp=t,
                 account=engine.account,
-                categories={
-                    name: {
-                        "flagged": int(tally.flagged[i]),
-                        "total": int(tally.total[i]),
-                        "decision": bool(tally.decision[i]),
-                    }
-                    for name, tally in report.categories.items()
-                },
+                categories=report.categories_at(i),
                 detectors=report.flagging_detectors[i],
                 gap_notice=gap,
             )

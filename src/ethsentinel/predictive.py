@@ -1,5 +1,6 @@
 """Predictive detector bank: S/ARIMA forecasting, seasonal-trend
-decomposition, k-NN lag pairs, CART regression, and residual thresholding.
+decomposition, k-NN lag pairs, and CART regression. The engine turns
+their one-step residuals into flags (``ensemble.DetectorKind``).
 
 ARMA coefficients follow the sign convention
 x_t = c + phi_1 x_{t-1} + ... - theta_1 e_{t-1} - ...  (lagged errors
@@ -571,22 +572,3 @@ def cart_predict(regressor: CartRegressor, context: np.ndarray) -> float:
         node = node.left if context[node.feature] <= node.threshold else node.right
     return float(node.prediction)
 
-
-def residual_threshold_detect(
-    predictions: np.ndarray,
-    actuals: np.ndarray,
-    training_rms: float,
-    multiplier: float = 3.0,
-) -> np.ndarray:
-    """Flag |actual - prediction| > multiplier * training RMS.
-
-    With a degenerate zero RMS, any nonzero residual flags.
-    """
-    predictions = np.asarray(predictions, dtype=np.float64)
-    actuals = np.asarray(actuals, dtype=np.float64)
-    if predictions.shape != actuals.shape:
-        raise DataError("predictions and actuals must have equal length")
-    residuals = np.abs(actuals - predictions)
-    if training_rms == 0.0:
-        return residuals > 0.0
-    return residuals > multiplier * training_rms

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from ethsentinel import ensemble
 from ethsentinel.cli import main
 
 SMALL_ENGINE_CFG = """
@@ -36,16 +37,25 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
-def test_full_pipeline(workspace, capsys):
+def test_full_pipeline(workspace, capsys, monkeypatch):
     ws = workspace
     assert run(
         "synth", "--config", ws / "synth.cfg", "--out", ws / "txs.csv",
         "--labels", ws / "labels.csv",
     ) == 0
+    built = []
+    build_grids = ensemble.build_grids
+
+    def counting(*args):
+        built.append(args)
+        return build_grids(*args)
+
+    monkeypatch.setattr(ensemble, "build_grids", counting)
     assert run(
         "detect", "batch", "--input", ws / "txs.csv", "--config", ws / "engine.cfg",
         "--out", ws / "report.jsonl", "--account", "0xabc",
     ) == 0
+    assert len(built) == 1  # the report's feature values come from the detection's grids
     lines = (ws / "report.jsonl").read_text(encoding="utf-8").splitlines()
     assert lines
     first = json.loads(lines[0])

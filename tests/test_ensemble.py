@@ -294,7 +294,16 @@ def test_stream_alarms_deduplicated():
             seen.add(alarm.timestamp)
 
 
-def test_kind_table_wires_every_configured_kind():
+@pytest.fixture(scope="module")
+def default_bank():
+    """The default 41-detector bank, fitted on two hours of stream."""
+    config = EngineConfig()
+    txs, _ = small_stream(seed=3, duration=2 * 3600)
+    grids = build_grids(txs, config)
+    return config, grids, *ensemble.fit_bank(grids, config)
+
+
+def test_kind_table_wires_every_configured_kind(default_bank):
     kinds = (*PREDICTIVE_KINDS, *REDUCTION_KINDS, *CLUSTERING_KINDS)
     assert tuple(ensemble.DETECTOR_KINDS) == kinds
     assert tuple(ensemble.KIND_CATEGORY) == kinds
@@ -302,9 +311,7 @@ def test_kind_table_wires_every_configured_kind():
         assert {ensemble.KIND_CATEGORY[kind] for kind in members} == {category}
     # the default bank: every kind on every feature, and every row kind
     # but the autoencoder on the multivariate rows
-    config = EngineConfig()
-    txs, _ = small_stream(seed=3, duration=2 * 3600)
-    detectors, warnings = ensemble.fit_bank(build_grids(txs, config), config)
+    config, _, detectors, warnings = default_bank
     assert warnings == []
     bank_order = (*PREDICTIVE_KINDS, *CLUSTERING_KINDS, *REDUCTION_KINDS)
     expected = [f"{kind}:{feature}" for feature in config.features for kind in bank_order]
@@ -312,6 +319,30 @@ def test_kind_table_wires_every_configured_kind():
     assert [det.detector_id for det in detectors] == expected
     assert len(detectors) == 41
     assert all(det.category is ensemble.KIND_CATEGORY[det.kind] for det in detectors)
+
+
+def test_every_detector_flags_where_its_score_exceeds_its_threshold(default_bank):
+    config, grids, detectors, _ = default_bank
+    multi_rows = np.column_stack([grids[name].values for name in config.features])
+    for det in detectors:
+        kind, payload = ensemble.DETECTOR_KINDS[det.kind], det.payload
+        assert np.isfinite(payload["threshold"]), det.detector_id
+        if det.category is P:
+            values = grids[det.group].values
+            start = len(values) // 2
+            first, scores = kind.score(payload, values, start, None)
+            flags = ensemble._predictive_point_flags(det, values, start)
+            assert not flags[: first - start].any()
+            flags = flags[first - start :]
+        else:
+            values = multi_rows if det.group == ensemble.MULTI_GROUP else grids[det.group].values
+            rows, _ = ensemble._window_matrix(
+                values, payload["window_cells"], payload["stride_cells"], 0
+            )
+            scores = kind.score(payload, (rows - payload["mean"]) / payload["std"])
+            flags = ensemble._score_rows(det.kind, payload, rows)
+        assert scores.shape == flags.shape, det.detector_id
+        assert np.array_equal(flags, scores > payload["threshold"]), det.detector_id
 
 
 def test_stream_tick_builds_only_windows_covering_new_cells(monkeypatch):
@@ -427,15 +458,15 @@ def test_non_contracting_model_is_never_carried():
         residual_rms=1.0,
     )
     assert not model.recursion_contracts
-    det = ensemble.FittedDetector("arima:value", "arima", P, "value", {"model": model, "rms": 1.0})
+    payload = {"model": model, "rms": 1.0, "threshold": 3.0}
+    det = ensemble.FittedDetector("arima:value", "arima", P, "value", payload)
     x = np.cumsum(np.random.default_rng(12).standard_normal(160))
-    config = EngineConfig()
     state = {}
     for k in range(100):
         database = x[k : k + 60]
-        carried = ensemble._predictive_point_flags(det, database, 59, config, state)
+        carried = ensemble._predictive_point_flags(det, database, 59, state)
         # a restart, as every tick made before states were carried
-        restarted = ensemble._predictive_point_flags(det, database, 59, config)
+        restarted = ensemble._predictive_point_flags(det, database, 59)
         assert np.array_equal(carried, restarted)
     assert "carry" not in state
 

@@ -105,14 +105,19 @@ def test_traced_replay_reaches_every_kind():
     """The traced benchmark wraps functions at the module attribute
     their callers look up: installing it fails if a hooked name is
     gone, and a call that bypasses the attribute, such as a library
-    function bound into the detector table at import, records 0 calls."""
+    function bound into the detector table at import, records 0 calls.
+    It also reads arguments of the per-kind fit and score functions by
+    position: the detector kind and the scored rows."""
     tracing = load_tracing()
     engine, advances = stream_replay()
     with tracing.Tracer() as tracer:
         for new in advances[:3]:
             ensemble.stream_advance(engine, new)
+        ensemble.retrain(engine)
     _, _, calls = tracer.totals()
     for kind in (*PREDICTIVE_KINDS, *REDUCTION_KINDS, *CLUSTERING_KINDS):
         assert calls[f"score.{kind}"] > 0, kind
+        assert calls[f"fit.{kind}"] > 0, kind
+    assert tracer.windows_scored > 0
     assert calls["reduction.iforest_score"] > 0
     assert calls["kernels.one_class_decision"] > 0

@@ -1,6 +1,7 @@
 """Forecasting bank: ARIMA/SARIMA estimation and prediction, the
 classical decomposition, lag-vector kNN, the regression tree (checked
-against an exhaustive-split oracle), and the residual threshold rule."""
+against an exhaustive-split oracle), and the residual threshold rule
+as the engine applies it."""
 
 import math
 
@@ -8,7 +9,13 @@ import numpy as np
 import pytest
 
 from ethsentinel.config import EngineConfig
-from ethsentinel.ensemble import _fit_predictive, _knn_mean_targets
+from ethsentinel.ensemble import (
+    DetectorCategory,
+    FittedDetector,
+    _fit_predictive,
+    _knn_mean_targets,
+    _predictive_point_flags,
+)
 from ethsentinel.errors import DataError, FitError
 from ethsentinel.kernels import sq_dists
 from ethsentinel.predictive import (
@@ -22,7 +29,6 @@ from ethsentinel.predictive import (
     cart_fit,
     cart_predict,
     grid_search_order,
-    residual_threshold_detect,
     select_order_aic,
     stl_decompose,
 )
@@ -262,10 +268,19 @@ def test_cart_fits_step_function_exactly():
 
 
 def test_residual_threshold_rule():
-    preds = np.zeros(6)
-    actual = np.array([0.1, -0.2, 4.0, 0.0, -3.5, 0.3])
-    flags = residual_threshold_detect(preds, actual, training_rms=1.0, multiplier=3.0)
-    assert flags.tolist() == [False, False, True, False, True, False]
-    # degenerate zero RMS: any nonzero residual flags
-    flags0 = residual_threshold_detect(preds, actual, training_rms=0.0, multiplier=3.0)
-    assert flags0.tolist() == [True, True, True, False, True, True]
+    # a depth-0 tree forecasts the training mean, here 0, so a scored
+    # cell's residual is its value; its holdout residuals are the last
+    # two lag pairs' targets, +-1 (RMS 1) or 0 (RMS 0)
+    config = EngineConfig(cart_lags=1, cart_depth=0, cart_min_leaf=1, residual_multiplier=3.0)
+    scored = np.array([0.1, -0.2, 4.0, 0.0, -3.5, 0.3])
+    for tail, threshold, expected in (
+        ([1.0, -1.0], 3.0, [False, False, True, False, True, False]),
+        # degenerate zero RMS: any nonzero residual flags
+        ([0.0, 0.0], 0.0, [True, True, True, False, True, True]),
+    ):
+        train = np.array([0.0] * 7 + tail)
+        payload = _fit_predictive("cart", train, config, seed=0)
+        assert payload["rms"] == threshold / 3.0 and payload["threshold"] == threshold
+        det = FittedDetector("cart:value", "cart", DetectorCategory.PREDICTIVE, "value", payload)
+        values = np.concatenate([train, scored])
+        assert _predictive_point_flags(det, values, len(train)).tolist() == expected
