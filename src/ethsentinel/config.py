@@ -4,6 +4,7 @@ comments)."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import DataError
@@ -15,6 +16,10 @@ BOTH = "both"
 PREDICTIVE_KINDS = ("arima", "sarima", "stl", "knn", "cart", "kridge")
 REDUCTION_KINDS = ("pca", "iforest", "ae")
 CLUSTERING_KINDS = ("kmeans", "dbscan", "ocsvm")
+
+# integer keys where 0 is meaningful (estimate, a root-only tree, the
+# first seed); every other integer key counts something and must be >= 1
+_ZERO_ALLOWED = ("sarima_period", "cart_depth", "kmeans_k", "seed")
 
 
 @dataclass(frozen=True)
@@ -71,6 +76,19 @@ class EngineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise DataError(f"{f.name} must be finite, got {value!r}")
+            least = 0 if f.name in _ZERO_ALLOWED else 1
+            if f.type == "int" and value < least:
+                raise DataError(f"{f.name} must be at least {least}")
+        if not 0.0 < self.train_ratio < 1.0:
+            raise DataError("train_ratio must lie in (0, 1)")
+        if not 0.0 < self.ocsvm_nu <= 1.0:
+            raise DataError("ocsvm_nu must lie in (0, 1]")
+        if self.residual_multiplier < 0.0:
+            raise DataError("residual_multiplier must not be negative")
         if self.mode not in (UNIVARIATE, MULTIVARIATE, BOTH):
             raise DataError(f"unknown mode {self.mode!r}")
         if self.window_duration % self.grid_step or self.window_stride % self.grid_step:

@@ -7,6 +7,9 @@ x_t = c + phi_1 x_{t-1} + ... - theta_1 e_{t-1} - ...  (lagged errors
 subtracted). Estimation is Hannan-Rissanen (long-AR residual proxy,
 then least squares) followed by one Gauss-Newton pass on the
 conditional sum of squares; deterministic, no optimizer dependency.
+The long AR, with m = P*s lags for SARIMA, solves its normal
+equations; ``lstsq`` stays for a nearly rank-deficient long AR and for
+the small second-stage regression.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._hot import css_residuals
 from .errors import DataError, FitError, NumericError
@@ -144,7 +148,69 @@ def _css_residuals(
     )
 
 
+def _lstsq(design: np.ndarray, target: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.lstsq(design, target, rcond=None)[0]
+    except np.linalg.LinAlgError as exc:
+        raise FitError(f"least squares failed: {exc}") from exc
+
+
+# The k-th pivot of the column-scaled Gram is 1 - R^2 of design column k
+# regressed on the columns before it, so a pivot below 1e-4 means some
+# lag is 99.99% explained by the others. The normal equations' residuals
+# drift from lstsq's by about 1e-15 / pivot relative to their scale (a
+# sine plus noise: 6e-12 at pivot 2e-4, 5e-6 at 2e-10), so above the
+# floor they stay near 1e-11. A rank-deficient design has no factor, a
+# pivot near rounding level or, for a zero column, a NaN one; the
+# benchmark workloads' long-AR designs stay above 0.27.
+_GRAM_PIVOT_FLOOR = 1e-4
+
+
+def _long_ar_residuals(w: np.ndarray, m: int) -> np.ndarray:
+    """Residuals of the least-squares AR(m) fit with intercept of
+    ``w[m:]`` on its m lags, zero over the first m cells.
+
+    The fit solves the normal equations, which costs one Gram product
+    and two (m+1)-square factorizations instead of an SVD of the
+    (n-m) x (m+1) design. ``lstsq`` solves it instead when the design's
+    column-scaled Gram has no Cholesky factor or a pivot below
+    ``_GRAM_PIVOT_FLOOR``, where squaring the condition number could
+    cost the solution its digits or ``solve`` could raise.
+    """
+    n = len(w)
+    design = np.empty((n - m, m + 1))
+    design[:, 0] = 1.0
+    design[:, 1:] = sliding_window_view(w[:-1], m)[:, ::-1]  # column k is lag k
+    target = w[m:]
+    gram = design.T @ design
+    scale = np.sqrt(gram.diagonal())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gram /= scale[:, None]  # in place: one (m+1)-square matrix less at the peak
+        gram /= scale
+        try:
+            pivot = np.linalg.cholesky(gram).diagonal().min() ** 2
+        except np.linalg.LinAlgError:
+            pivot = np.nan
+    if pivot >= _GRAM_PIVOT_FLOOR:
+        coeffs = np.linalg.solve(gram, (design.T @ target) / scale) / scale
+    else:
+        coeffs = _lstsq(design, target)
+    e_hat = np.zeros(n)
+    e_hat[m:] = target - design @ coeffs
+    return e_hat
+
+
 def _hannan_rissanen(w: np.ndarray, order: ArimaOrder) -> np.ndarray:
+    """Hannan-Rissanen estimates of the ARMA parameters of ``w``, in
+    ``_split_params`` order (Hannan & Rissanen 1982).
+
+    Stage 1 fits a long AR(m) by least squares and keeps its residuals
+    as innovation estimates (``_long_ar_residuals``). It solves the
+    normal equations, and falls back to ``lstsq`` only when the design's
+    column-scaled Gram has no Cholesky factor or a pivot below
+    ``_GRAM_PIVOT_FLOOR``. Stage 2 regresses ``w`` on its lags and the
+    lagged estimates with ``lstsq``, over 1 + p + P + q + Q columns.
+    """
     p, q = order.p, order.q
     P = Q = s = 0
     if order.seasonal is not None:
@@ -158,17 +224,7 @@ def _hannan_rissanen(w: np.ndarray, order: ArimaOrder) -> np.ndarray:
     m = min(m, n // 2)
     if m < 1 or n - m < p + q + P + Q + 2:
         raise DataError("series too short for the requested order")
-    if q + Q > 0:
-        rows = n - m
-        design = np.empty((rows, m + 1))
-        design[:, 0] = 1.0
-        for lag in range(1, m + 1):
-            design[:, lag] = w[m - lag : n - lag]
-        coeffs, _, _, _ = np.linalg.lstsq(design, w[m:], rcond=None)
-        e_hat = np.zeros(n)
-        e_hat[m:] = w[m:] - design @ coeffs
-    else:
-        e_hat = np.zeros(n)
+    e_hat = _long_ar_residuals(w, m) if q + Q > 0 else np.zeros(n)
 
     # Stage 2: regress w_t on its lags and lagged innovation estimates.
     t0 = max(p, P * s, (m + q) if q else 0, (m + Q * s) if Q else 0)
@@ -190,7 +246,7 @@ def _hannan_rissanen(w: np.ndarray, order: ArimaOrder) -> np.ndarray:
     for j in range(1, Q + 1):
         design[:, col] = -e_hat[t0 - j * s : n - j * s]
         col += 1
-    params, _, _, _ = np.linalg.lstsq(design, w[t0:], rcond=None)
+    params = _lstsq(design, w[t0:])
     if not np.all(np.isfinite(params)):
         raise NumericError("non-finite coefficients in Hannan-Rissanen stage 2")
     return params

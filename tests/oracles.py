@@ -232,3 +232,17 @@ def naive_ae_train(X, hidden, epochs, learning_rate, seed):
     _, out = _ae_forward(W1, b1, W2, b2, X)
     errors = np.mean((out - X) ** 2, axis=1)
     return (W1, b1, W2, b2), history, errors
+
+
+def naive_long_ar_residuals(w, m):
+    """Reference long-AR residuals: the design built one lag column at
+    a time and solved by the SVD-based least squares."""
+    n = len(w)
+    design = np.empty((n - m, m + 1))
+    design[:, 0] = 1.0
+    for lag in range(1, m + 1):
+        design[:, lag] = w[m - lag : n - lag]
+    coeffs, _, _, _ = np.linalg.lstsq(design, w[m:], rcond=None)
+    e_hat = np.zeros(n)
+    e_hat[m:] = w[m:] - design @ coeffs
+    return e_hat

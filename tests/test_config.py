@@ -1,6 +1,9 @@
 """Engine configuration: defaults, validation, and the flat key-value
 file format."""
 
+import math
+from dataclasses import fields
+
 import pytest
 
 from ethsentinel.config import EngineConfig, load_config, parse_config_text
@@ -31,6 +34,31 @@ def test_validation():
         EngineConfig(predictive_detectors=("lstm",))
     for vote in ("any", "majority", "all"):
         assert EngineConfig(window_vote=vote).window_vote == vote
+    for bad in (
+        {"residual_multiplier": math.nan},
+        {"residual_multiplier": math.inf},
+        {"residual_multiplier": -1.0},
+        {"iforest_cutoff": -math.inf},
+        {"ocsvm_nu": 5.0},
+        {"ocsvm_nu": 0.0},
+        {"train_ratio": 1.5},
+        {"train_ratio": 0.0},
+        {"train_ratio": 1.0},
+        {"grid_step": 0},
+        {"grid_step": -60},
+        {"knn_k": 0},
+        {"iforest_trees": 0},
+        {"sarima_period": -1},
+        {"seed": -1},
+    ):
+        with pytest.raises(DataError):
+            EngineConfig(**bad)
+    with pytest.raises(DataError):
+        parse_config_text("residual_multiplier = nan")
+    # zero keeps its meaning where it has one; the boundaries of the ranges hold
+    EngineConfig(sarima_period=0, cart_depth=0, kmeans_k=0, seed=0, dbscan_eps=0.0)
+    EngineConfig(ocsvm_nu=1.0, residual_multiplier=0.0, train_ratio=0.5)
+    assert len(fields(EngineConfig)) == 43
 
 
 def test_parse_overrides_and_types():

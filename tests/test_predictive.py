@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from ethsentinel import synth
 from ethsentinel.config import EngineConfig
 from ethsentinel.ensemble import (
     DetectorCategory,
@@ -15,13 +16,16 @@ from ethsentinel.ensemble import (
     _fit_predictive,
     _knn_mean_targets,
     _predictive_point_flags,
+    build_grids,
 )
 from ethsentinel.errors import DataError, FitError
 from ethsentinel.kernels import sq_dists
 from ethsentinel.predictive import (
+    ArimaModel,
     ArimaOrder,
     _best_split,
     _lag_pairs,
+    _long_ar_residuals,
     aic,
     arima_fit,
     arima_predict_in_sample,
@@ -33,7 +37,7 @@ from ethsentinel.predictive import (
     stl_decompose,
 )
 
-from oracles import naive_best_split
+from oracles import naive_best_split, naive_long_ar_residuals
 
 
 def simulate_arma(phi, theta, n, seed, noise=1.0, burn=200):
@@ -85,6 +89,100 @@ def test_in_sample_residuals_reconstruct_predictions():
     preds, residuals, offset = arima_predict_in_sample(model, x)
     assert len(preds) == len(residuals) == len(x) - offset
     assert np.allclose(x[offset:] - preds, residuals)
+
+
+def dense_gaslimit_sarima_input():
+    """The differenced training gaslimit of the criterion-1 harness
+    stream, seed 0, and the long-AR order of its SARIMA(1,1,1)(1,0,1,1344)
+    fit: a 2688 x 1345 design with condition number about 2e5."""
+    txs, _ = synth.synth_generate(
+        synth.SynthConfig(
+            duration=4 * 86400, base_rate=6.0, rate_amplitude=0.4, value_sigma=0.25, seed=0
+        )
+    )
+    grid = build_grids(txs, EngineConfig(features=("gaslimit",)))["gaslimit"].values
+    return np.diff(grid[: int(round(0.7 * len(grid)))]), 1344
+
+
+def sparse_like_input():
+    """A mostly-zero series with occasional transactions, differenced
+    as the engine's ARIMA(1,1,1) does."""
+    rng = np.random.default_rng(2)
+    x = np.zeros(4000)
+    active = rng.choice(len(x), 100, replace=False)
+    x[active] = rng.lognormal(3.0, 1.0, len(active))
+    return np.diff(x), 36
+
+
+@pytest.mark.parametrize(
+    "make_input",
+    [
+        dense_gaslimit_sarima_input,
+        lambda: (simulate_arma(0.5, 0.3, 4000, 0), 36),
+        sparse_like_input,
+    ],
+    ids=["dense-gaslimit-sarima", "arma11", "sparse-like"],
+)
+def test_long_ar_residuals_match_lstsq_oracle(make_input):
+    w, m = make_input()
+    expected = naive_long_ar_residuals(w, m)
+    # relative to the residuals' scale: entries near zero carry the
+    # same absolute rounding as the rest
+    np.testing.assert_allclose(
+        _long_ar_residuals(w, m), expected, rtol=1e-9, atol=1e-9 * np.abs(expected).max()
+    )
+
+
+def counting_lstsq(monkeypatch):
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    return calls
+
+
+def one_spike():
+    x = np.zeros(400)
+    x[5] = 1.0
+    return x
+
+
+def near_sine():
+    rng = np.random.default_rng(0)
+    return np.sin(0.3 * np.arange(400)) + 1e-5 * rng.standard_normal(400)
+
+
+@pytest.mark.parametrize(
+    "make_series",
+    # ARIMA(1,0,1)'s long AR of 27 lags sees the spike in 6 columns: rank
+    # 7 of 28 and no factor. The sine spans three columns and the noise
+    # leaves a smallest scaled pivot near 2e-10, where the normal
+    # equations would lose about five digits.
+    [one_spike, near_sine],
+    ids=["one-spike", "near-sine"],
+)
+def test_ill_posed_long_ar_falls_back_to_lstsq(monkeypatch, make_series):
+    x = make_series()
+    expected = naive_long_ar_residuals(x, 27)
+    calls = counting_lstsq(monkeypatch)
+    assert np.array_equal(_long_ar_residuals(x, 27), expected)
+    assert calls == [(373, 28)]
+
+
+def test_sarima_fit_solves_only_stage_two_by_lstsq(monkeypatch):
+    rng = np.random.default_rng(4)
+    s = 1000
+    x = 5.0 * np.sin(2 * np.pi * np.arange(3 * s + 1) / s) + rng.standard_normal(3 * s + 1)
+    calls = counting_lstsq(monkeypatch)
+    arima_fit(x, ArimaOrder(1, 1, 1, (1, 0, 1, s)))
+    assert calls == [(3 * s - 2 * s, 5)]  # stage 2: rows from t0 = m + Q*s, 5 parameters
+    calls.clear()
+    assert isinstance(arima_fit(one_spike(), ArimaOrder(1, 0, 1)), ArimaModel)
+    assert len(calls) == 2  # the fallback and stage 2
 
 
 @pytest.mark.parametrize(
