@@ -89,6 +89,13 @@ class EngineConfig:
             raise DataError("ocsvm_nu must lie in (0, 1]")
         if self.residual_multiplier < 0.0:
             raise DataError("residual_multiplier must not be negative")
+        if not 0.0 < self.pca_explained <= 1.0:
+            raise DataError("pca_explained must lie in (0, 1]")
+        if self.dbscan_eps < 0.0:
+            raise DataError("dbscan_eps must not be negative (0 estimates it)")
+        for name in ("kridge_lambda", "dbscan_eps_scale", "ae_learning_rate"):
+            if getattr(self, name) <= 0.0:
+                raise DataError(f"{name} must be positive")
         if self.mode not in (UNIVARIATE, MULTIVARIATE, BOTH):
             raise DataError(f"unknown mode {self.mode!r}")
         if self.window_duration % self.grid_step or self.window_stride % self.grid_step:

@@ -199,10 +199,26 @@ def _fit_stl(train, config, seed):
 
 
 def _score_stl(payload, values, start, state):
+    """In a stream, ``state`` keeps the centred moving average of the
+    database and the database length it came from. The next tick drops
+    the outputs of the evicted cells and convolves only the windows that
+    reach a new cell; the phase means still see every cell."""
     period = payload["period"]
-    if len(values) < 2 * period:
-        return len(values), np.empty(0)
-    return start, np.abs(predictive.stl_decompose(values, period).residual[start:])
+    n = len(values)
+    if n < 2 * period:
+        return n, np.empty(0)
+    taps = predictive.trend_taps(period)
+    tail = start - len(taps) + 1  # the first window that reaches a new cell
+    kept = state.get("stl") if state is not None else None
+    if kept is not None and 0 <= tail and start < n:
+        average, length = kept
+        evicted = length - start
+        average = np.concatenate((average[evicted:], np.convolve(values[tail:], taps, "valid")))
+    else:
+        average = np.convolve(values, taps, "valid")
+    if state is not None:
+        state["stl"] = (average, n)
+    return start, np.abs(predictive.stl_decompose(values, period, average).residual[start:])
 
 
 def _knn_mean_targets(sq_dists: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
@@ -217,21 +233,22 @@ def _fit_knn(train, config, seed):
     X, y = predictive._lag_pairs(train, lags)
     if k >= len(X):
         raise FitError("not enough training pairs for k-NN")
+    X_sq = np.sum(X * X, axis=1)
 
     def predict(block, lo):
         # leave-self-out residuals, else in-sample RMS degenerates to 0
-        dist = kernels.sq_dists(block, X)
+        dist = kernels.sq_dists(block, X, X_sq)
         own = np.arange(len(block))
         dist[own, lo + own] = np.inf
         return _knn_mean_targets(dist, y, k)
 
     preds = kernels.by_row_blocks(predict, X)
-    return {"X": X, "y": y, "lags": lags, "k": k, "rms": rms(y - preds)}
+    return {"X": X, "X_sq": X_sq, "y": y, "lags": lags, "k": k, "rms": rms(y - preds)}
 
 
 def _knn_predictions(payload, contexts):
     def predict(block, lo):
-        dist = kernels.sq_dists(block, payload["X"])
+        dist = kernels.sq_dists(block, payload["X"], payload["X_sq"])
         return _knn_mean_targets(dist, payload["y"], payload["k"])
 
     return kernels.by_row_blocks(predict, contexts)
@@ -320,14 +337,20 @@ def _fit_dbscan(rows, config, seed):
         )
     if eps <= 0.0:
         eps = 1e-9
-    return {"reference": reference, "eps": eps, "min_pts": config.dbscan_min_pts, "threshold": 0}
+    return {
+        "reference": reference,
+        "reference_sq": np.sum(reference * reference, axis=1),
+        "eps": eps,
+        "min_pts": config.dbscan_min_pts,
+        "threshold": 0,
+    }
 
 
 def _score_dbscan(payload, rows):
     # density rule against the reference database: a row is noise when
     # it lacks neighbours within eps (itself included) to reach min_pts
     def neighbours(block, lo):
-        sq = kernels.sq_dists(block, payload["reference"])
+        sq = kernels.sq_dists(block, payload["reference"], payload["reference_sq"])
         return np.sum(sq <= payload["eps"] ** 2, axis=1)
 
     return payload["min_pts"] - 1 - kernels.by_row_blocks(neighbours, rows)
@@ -370,7 +393,10 @@ class DetectorKind:
     values, start, state)`` returns ``(first, scores)``, the absolute
     one-step residuals of cells [first, n), where first >= start.
     ``state`` is a dict the kind may keep across the ticks of one
-    stream, emptied when the bank is refitted, or None in batch. A row
+    stream, emptied when the bank is refitted, or None in batch: ARIMA
+    and SARIMA keep the ``carry`` of a contracting residual recursion,
+    STL the centred moving average of the database and its length, so
+    that an ordinary tick computes only what its new cells change. A row
     kind fits on standardized rows, ``fit(rows, config, seed) ->
     payload``, and scores standardized rows, ``score(payload, rows)``;
     its rows are the windows of ``window(config)`` cells of each feature

@@ -58,14 +58,16 @@ def resolve_gamma(spec: KernelSpec, X: np.ndarray) -> float:
     return 1.0 / (X.shape[1] * var)
 
 
-def sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def sq_dists(A: np.ndarray, B: np.ndarray, B_sq: np.ndarray | None = None) -> np.ndarray:
     """Squared Euclidean distances between the rows of A and B, clamped
-    at zero: the expanded form rounds below it for near-duplicate rows."""
-    sq = (
-        np.sum(A * A, axis=1)[:, None]
-        + np.sum(B * B, axis=1)[None, :]
-        - 2.0 * (A @ B.T)
-    )
+    at zero: the expanded form rounds below it for near-duplicate rows.
+
+    ``B_sq`` is ``np.sum(B * B, axis=1)``, computed once by a caller
+    that measures many row sets against the same fixed B.
+    """
+    if B_sq is None:
+        B_sq = np.sum(B * B, axis=1)
+    sq = np.sum(A * A, axis=1)[:, None] + B_sq[None, :] - 2.0 * (A @ B.T)
     np.maximum(sq, 0.0, out=sq)
     return sq
 
@@ -80,8 +82,15 @@ def by_row_blocks(fn, A: np.ndarray) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def kernel_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray, gamma: float | None = None) -> np.ndarray:
-    """Cross-kernel matrix K_ij = k(X_i, Y_j), vectorized."""
+def kernel_matrix(
+    spec: KernelSpec,
+    X: np.ndarray,
+    Y: np.ndarray,
+    gamma: float | None = None,
+    Y_sq: np.ndarray | None = None,
+) -> np.ndarray:
+    """Cross-kernel matrix K_ij = k(X_i, Y_j), vectorized; ``Y_sq``, the
+    squared row norms of a fixed Y, goes to ``sq_dists``."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     if X.shape[1] != Y.shape[1]:
@@ -92,7 +101,7 @@ def kernel_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray, gamma: float |
         return (X @ Y.T + spec.coef0) ** spec.degree
     if gamma is None:
         gamma = spec.gamma if spec.gamma is not None else 1.0 / X.shape[1]
-    return np.exp(-gamma * sq_dists(X, Y))
+    return np.exp(-gamma * sq_dists(X, Y, Y_sq))
 
 
 def gram(spec: KernelSpec, X: np.ndarray, gamma: float | None = None) -> np.ndarray:
@@ -106,6 +115,7 @@ class KernelRidge:
     """Dual-form kernel ridge regressor."""
 
     X: np.ndarray = field(repr=False)
+    X_sq: np.ndarray = field(repr=False)  # squared row norms of X
     dual_weights: np.ndarray = field(repr=False)
     spec: KernelSpec
     gamma: float
@@ -127,13 +137,15 @@ def kernel_ridge_fit(X: np.ndarray, y: np.ndarray, spec: KernelSpec, lam: float)
         raise NumericError(f"ridge system could not be solved: {exc}") from exc
     if not np.all(np.isfinite(weights)):
         raise NumericError("non-finite dual weights in kernel ridge fit")
-    return KernelRidge(X=X, dual_weights=weights, spec=spec, gamma=gamma, lam=lam)
+    return KernelRidge(
+        X=X, X_sq=np.sum(X * X, axis=1), dual_weights=weights, spec=spec, gamma=gamma, lam=lam
+    )
 
 
 def kernel_ridge_predict(model: KernelRidge, x: np.ndarray) -> np.ndarray | float:
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
-    K = kernel_matrix(model.spec, np.atleast_2d(x), model.X, gamma=model.gamma)
+    K = kernel_matrix(model.spec, np.atleast_2d(x), model.X, model.gamma, model.X_sq)
     pred = K @ model.dual_weights
     return float(pred[0]) if single else pred
 
@@ -143,6 +155,7 @@ class OneClassModel:
     """Fitted nu-one-class machine. Decision < 0 means anomaly."""
 
     support_vectors: np.ndarray = field(repr=False)
+    support_sq: np.ndarray = field(repr=False)  # squared row norms of the support vectors
     alphas: np.ndarray = field(repr=False)
     rho: float
     spec: KernelSpec
@@ -196,6 +209,7 @@ def one_class_fit(
         rho = float(np.mean(g[sv]))
     return OneClassModel(
         support_vectors=X,
+        support_sq=np.sum(X * X, axis=1),
         alphas=a,
         rho=rho,
         spec=spec,
@@ -213,7 +227,9 @@ def one_class_decision(model: OneClassModel, x: np.ndarray) -> np.ndarray | floa
     single = x.ndim == 1
 
     def decide(block, lo):
-        K = kernel_matrix(model.spec, block, model.support_vectors, gamma=model.gamma)
+        K = kernel_matrix(
+            model.spec, block, model.support_vectors, model.gamma, model.support_sq
+        )
         return K @ model.alphas - model.rho
 
     dec = by_row_blocks(decide, np.atleast_2d(x))

@@ -497,41 +497,55 @@ class Decomposition:
     period: int
 
 
-def stl_decompose(values: np.ndarray, period: int) -> Decomposition:
+def trend_taps(period: int) -> np.ndarray:
+    """Weights of the centred moving average behind the decomposition's
+    trend: ``period`` equal taps for an odd period, the standard 2 x
+    period average (period + 1 taps, half weight at the ends) for an
+    even one."""
+    if period % 2 == 0:
+        taps = np.full(period + 1, 1.0 / period)
+        taps[0] = taps[-1] = 0.5 / period
+        return taps
+    return np.full(period, 1.0 / period)
+
+
+def stl_decompose(values: np.ndarray, period: int, average: np.ndarray | None = None) -> Decomposition:
     """Classical additive decomposition (moving-average trend,
-    per-phase seasonal means re-centered to zero, exact residual)."""
+    per-phase seasonal means re-centered to zero, exact residual).
+
+    ``average`` is ``np.convolve(values, trend_taps(period), "valid")``,
+    the centred moving average where it is defined, for a caller that
+    already has it; by default it is computed here.
+    """
     x = np.asarray(values, dtype=np.float64)
     n = len(x)
     if period < 2:
         raise DataError("period must be >= 2")
     if n < 2 * period:
         raise DataError("need at least two full periods")
-    if period % 2 == 0:
-        # standard 2 x period weighted average: half weight at the ends
-        kernel = np.full(period + 1, 1.0 / period)
-        kernel[0] = kernel[-1] = 0.5 / period
-    else:
-        kernel = np.full(period, 1.0 / period)
-    half = len(kernel) // 2
+    taps = trend_taps(period)
+    half = len(taps) // 2
+    valid = np.convolve(x, taps, mode="valid") if average is None else average
+    if len(valid) != n - len(taps) + 1:
+        raise DataError("moving average does not match the series")
     trend = np.full(n, np.nan)
-    valid = np.convolve(x, kernel, mode="valid")
     trend[half : half + len(valid)] = valid
     trend[:half] = trend[half]
     trend[half + len(valid):] = trend[half + len(valid) - 1]
 
     # Per-phase means use only the interior positions [half, half +
     # len(valid)), where the centered average is defined; the
-    # edge-filled trend would bias them. Phases have one of two interior
-    # counts: gather the phases of each count as rows of positions in
-    # increasing order and sum along the rows.
+    # edge-filled trend would bias them. The phase at interior offset o
+    # < period recurs at o + k * period: one more time than the others
+    # for the first ``extra`` offsets. Gather the offsets of each count
+    # as rows of positions in increasing order and sum along the rows.
     detrended = x - trend
-    phase_count = np.bincount(np.arange(half, half + len(valid)) % period, minlength=period)
+    base, extra = divmod(len(valid), period)
+    offsets = np.arange(period)
     phase_means = np.empty(period)
-    for count in np.unique(phase_count):
-        phases = np.flatnonzero(phase_count == count)
-        first = half + (phases - half) % period
-        rows = detrended[first[:, None] + period * np.arange(count)]
-        phase_means[phases] = rows.sum(axis=1) / count
+    for group, count in ((offsets[:extra], base + 1), (offsets[extra:], base)):
+        rows = detrended[half + group[:, None] + period * np.arange(count)]
+        phase_means[(half + group) % period] = rows.sum(axis=1) / count
     phase_means -= phase_means.mean()
     seasonal = np.tile(phase_means, n // period + 1)[:n]
     residual = x - trend - seasonal

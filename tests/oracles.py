@@ -246,3 +246,25 @@ def naive_long_ar_residuals(w, m):
     e_hat = np.zeros(n)
     e_hat[m:] = w[m:] - design @ coeffs
     return e_hat
+
+
+def naive_css_residuals(w, c, phi, sphi, theta, stheta, s, start, history=None):
+    """Reference CSS recursion: the whole prediction of each residual,
+    AR and MA terms alike, summed in one loop over numpy scalars."""
+    w = np.asarray(w, dtype=np.float64)
+    n = len(w)
+    e = np.zeros(n)
+    if history is not None:
+        e[:start] = history
+    for t in range(start, n):
+        pred = c
+        for i in range(len(phi)):
+            pred += phi[i] * w[t - 1 - i]
+        for j in range(len(sphi)):
+            pred += sphi[j] * w[t - (j + 1) * s]
+        for i in range(len(theta)):
+            pred -= theta[i] * e[t - 1 - i]
+        for j in range(len(stheta)):
+            pred -= stheta[j] * e[t - (j + 1) * s]
+        e[t] = w[t] - pred
+    return e

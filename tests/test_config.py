@@ -50,6 +50,14 @@ def test_validation():
         {"iforest_trees": 0},
         {"sarima_period": -1},
         {"seed": -1},
+        {"pca_explained": 0.0},
+        {"pca_explained": 5.0},
+        {"kridge_lambda": 0.0},
+        {"kridge_lambda": -1.0},
+        {"dbscan_eps": -1.0},
+        {"dbscan_eps_scale": 0.0},
+        {"ae_learning_rate": 0.0},
+        {"ae_learning_rate": -0.01},
     ):
         with pytest.raises(DataError):
             EngineConfig(**bad)
@@ -57,7 +65,7 @@ def test_validation():
         parse_config_text("residual_multiplier = nan")
     # zero keeps its meaning where it has one; the boundaries of the ranges hold
     EngineConfig(sarima_period=0, cart_depth=0, kmeans_k=0, seed=0, dbscan_eps=0.0)
-    EngineConfig(ocsvm_nu=1.0, residual_multiplier=0.0, train_ratio=0.5)
+    EngineConfig(ocsvm_nu=1.0, residual_multiplier=0.0, train_ratio=0.5, pca_explained=1.0)
     assert len(fields(EngineConfig)) == 43
 
 

@@ -471,15 +471,73 @@ def test_non_contracting_model_is_never_carried():
     assert "carry" not in state
 
 
+@pytest.mark.parametrize("period", [7, 12])
+def test_stl_carried_average_equals_a_restart(period):
+    payload = {"period": period, "rms": 1.0, "threshold": 1.5}
+    det = ensemble.FittedDetector("stl:value", "stl", P, "value", payload)
+    score = ensemble.DETECTOR_KINDS["stl"].score
+    rng = np.random.default_rng(13)
+    t = np.arange(300)
+    x = 3.0 * np.sin(2 * np.pi * t / period) + np.cumsum(0.2 * rng.standard_normal(300))
+    x += rng.standard_normal(300)
+    span = 5 * period
+    hi = 2 * period
+    # the database grows to its span, then rolls; after 60 one-cell
+    # ticks, one tick brings a two-cell zero-filled gap and the cell
+    # after it
+    gap = hi + 60
+    x[gap : gap + 2] = 0.0
+    scored, flagged = {}, {}  # one stream state per scoring path
+    for appended in [1] * 60 + [3] + [1] * 39:
+        hi += appended
+        database = x[max(0, hi - span) : hi]
+        start = len(database) - appended
+        first, carried = score(payload, database, start, scored)
+        _, restarted = score(payload, database, start, None)
+        assert first == start and np.array_equal(carried, restarted)
+        assert np.array_equal(
+            ensemble._predictive_point_flags(det, database, start, flagged),
+            ensemble._predictive_point_flags(det, database, start),
+        )
+        assert flagged["stl"][1] == len(database)
+    assert hi > span
+
+
+def test_ordinary_tick_convolves_only_windows_reaching_new_cells(monkeypatch):
+    engine, grids, fit_cells = stream_fixture(predictive_detectors=("stl",))
+    periods = [det.payload["period"] for det in engine.detectors if det.kind == "stl"]
+    assert len(periods) == 3
+    advance_one(engine, grids, fit_cells)  # the first tick after the fit: full convolutions
+    convolved = []
+    convolve = np.convolve
+
+    def counting(a, v, mode="full"):
+        convolved.append(len(a))
+        return convolve(a, v, mode)
+
+    monkeypatch.setattr(np, "convolve", counting)
+    clock = engine.last_retrain
+    advance_one(engine, grids, fit_cells + 1)
+    assert engine.last_retrain == clock  # an ordinary tick
+    assert len(convolved) == len(periods)
+    for cells, period in zip(convolved, periods):
+        assert cells <= period + 1  # the period's taps plus the appended cell
+    # a refit bank convolves the whole database again
+    ensemble.retrain(engine)
+    assert engine.carried == {}
+
+
 def test_deep_copied_engine_alarms_like_its_original():
     at = 3 * 3600 - 40 * 60
     engine, grids, fit_cells = stream_fixture(
-        predictive_detectors=ARIMA_KINDS, injections=[synth.Injection(synth.SPIKE, at, 60.0)]
+        predictive_detectors=(*ARIMA_KINDS, "stl"),
+        injections=[synth.Injection(synth.SPIKE, at, 60.0)],
     )
     for i in range(fit_cells, fit_cells + 5):
         advance_one(engine, grids, i)
     twin = copy.deepcopy(engine)
     assert any("carry" in state for state in twin.carried.values())
+    assert any("stl" in state for state in twin.carried.values())
     alarms = []
     for i in range(fit_cells + 5, fit_cells + 40):
         ours = advance_one(engine, grids, i)
@@ -515,8 +573,8 @@ def test_no_distance_matrix_grows_with_the_square_of_the_series(monkeypatch):
     sizes = []
     sq_dists = kernels.sq_dists
 
-    def recording(A, B):
-        out = sq_dists(A, B)
+    def recording(A, B, B_sq=None):
+        out = sq_dists(A, B, B_sq)
         sizes.append(out.size)
         return out
 

@@ -74,6 +74,17 @@ def test_squared_distances_non_negative_on_near_duplicates():
     assert np.array_equal(sq[off], raw[off])
 
 
+def test_squared_distances_take_precomputed_reference_norms():
+    rng = np.random.default_rng(6)
+    B = rng.standard_normal((300, 5))
+    B_sq = np.sum(B * B, axis=1)
+    for rows in (1, 7, 300):
+        A = rng.standard_normal((rows, 5))
+        assert np.array_equal(sq_dists(A, B, B_sq), sq_dists(A, B))
+    spec = KernelSpec()
+    assert np.array_equal(kernel_matrix(spec, A, B, 0.3, B_sq), kernel_matrix(spec, A, B, 0.3))
+
+
 def test_gram_symmetry_and_unit_diagonal():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((20, 3))

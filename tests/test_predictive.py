@@ -3,12 +3,14 @@ classical decomposition, lag-vector kNN, the regression tree (checked
 against an exhaustive-split oracle), and the residual threshold rule
 as the engine applies it."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from ethsentinel import synth
+from ethsentinel._hot import css_residuals
 from ethsentinel.config import EngineConfig
 from ethsentinel.ensemble import (
     DetectorCategory,
@@ -37,7 +39,7 @@ from ethsentinel.predictive import (
     stl_decompose,
 )
 
-from oracles import naive_best_split, naive_long_ar_residuals
+from oracles import naive_best_split, naive_css_residuals, naive_long_ar_residuals
 
 
 def simulate_arma(phi, theta, n, seed, noise=1.0, burn=200):
@@ -215,6 +217,38 @@ def test_carried_residuals_equal_one_pass(order):
     rest, offset, _ = arima_residuals(model, x, m, head_carry)
     assert offset == m
     assert np.array_equal(np.concatenate([head, rest]), full)
+
+
+def test_css_residuals_match_scalar_loop_oracle():
+    # every order up to (2, 2) x (2, 2)_s, from a zero burn-in and from a
+    # carried history, equal the scalar loop bit for bit
+    rng = np.random.default_rng(3)
+    for p, P, q, Q, s in itertools.product(range(3), range(3), range(3), range(3), (2, 7, 1440)):
+        start = max(p, q, P * s, Q * s)
+        coeffs = [rng.uniform(-0.9, 0.9, k) for k in (p, P, q, Q)]
+        c = float(rng.standard_normal())
+        for new_cells in (0, 1, 40):  # 0: start == n
+            w = rng.standard_normal(start + new_cells)
+            for history in (None, rng.standard_normal(start)):
+                args = (w, c, *coeffs, s, start, history)
+                got = css_residuals(*args)
+                assert np.array_equal(got, naive_css_residuals(*args), equal_nan=True), (p, P, q, Q, s)
+    with pytest.raises(ValueError):  # a lag would reach before the series
+        css_residuals(np.ones(9), 0.0, [], [], [0.5], [], 2, 0)
+
+
+@pytest.mark.parametrize("scale", [1e300, math.inf, math.nan])
+def test_css_residuals_match_oracle_through_overflow(scale):
+    # an exploding MA recursion overflows to inf and then to NaN alike
+    rng = np.random.default_rng(4)
+    w = rng.standard_normal(300)
+    w[100] = scale
+    args = (w, 0.5, np.array([0.9]), np.array([1.5]), np.array([-3.0]), np.array([2.5]), 7, 7)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = css_residuals(*args)
+        want = naive_css_residuals(*args)
+    assert not np.all(np.isfinite(want))
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 def one_step_forecast(model, x):
