@@ -22,16 +22,14 @@ COMPILED = False
 _EPS = 1e-12
 
 
-def smo_solve(G, a, C, tol, max_iter, record_objective=False):
+def smo_solve(G, a, C, tol, max_iter):
     """Minimize 0.5 a'Ga s.t. 0 <= a_i <= C, sum(a) = 1, in place on ``a``.
 
-    Returns (iterations, converged, objective_history). The history is
-    empty unless ``record_objective`` is set.
+    Returns (iterations, converged).
     """
     G = np.asarray(G, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
     g = G @ a
-    history = []
     it = 0
     converged = False
     while it < max_iter:
@@ -55,9 +53,7 @@ def smo_solve(G, a, C, tol, max_iter, record_objective=False):
         a[j] -= t
         g += t * (G[:, i] - G[:, j])
         it += 1
-        if record_objective:
-            history.append(0.5 * float(a @ G @ a))
-    return it, converged, history
+    return it, converged
 
 
 def css_residuals(w, c, phi, sphi, theta, stheta, s, start, history=None):

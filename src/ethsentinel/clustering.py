@@ -12,6 +12,9 @@ from .kernels import sq_dists
 
 NOISE = -1
 
+# select_k scores its O(n^2) silhouettes on at most this many rows
+SILHOUETTE_POINTS = 500
+
 
 @dataclass(frozen=True)
 class KMeansModel:
@@ -133,14 +136,12 @@ def silhouette_score(X: np.ndarray, labels: np.ndarray) -> float:
     return float(sil.mean())
 
 
-def select_k(
-    X: np.ndarray, k_min: int = 2, k_max: int = 10, seed: int = 0, max_points: int = 500
-) -> int:
+def select_k(X: np.ndarray, k_min: int = 2, k_max: int = 10, seed: int = 0) -> int:
     """Pick k by silhouette score; subsamples large inputs for the O(n^2) part."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     rng = np.random.default_rng(seed)
-    if len(X) > max_points:
-        idx = rng.choice(len(X), size=max_points, replace=False)
+    if len(X) > SILHOUETTE_POINTS:
+        idx = rng.choice(len(X), size=SILHOUETTE_POINTS, replace=False)
         sample = X[idx]
     else:
         sample = X

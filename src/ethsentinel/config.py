@@ -4,10 +4,12 @@ comments)."""
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import DataError
+from .ingest import FeatureKind
 
 UNIVARIATE = "univariate"
 MULTIVARIATE = "multivariate"
@@ -16,6 +18,13 @@ BOTH = "both"
 PREDICTIVE_KINDS = ("arima", "sarima", "stl", "knn", "cart", "kridge")
 REDUCTION_KINDS = ("pca", "iforest", "ae")
 CLUSTERING_KINDS = ("kmeans", "dbscan", "ocsvm")
+
+
+class DetectorCategory(enum.Enum):
+    PREDICTIVE = "predictive"
+    REDUCTION = "reduction"
+    CLUSTERING = "clustering"
+
 
 # integer keys where 0 is meaningful (estimate, a root-only tree, the
 # first seed); every other integer key counts something and must be >= 1
@@ -96,6 +105,15 @@ class EngineConfig:
         for name in ("kridge_lambda", "dbscan_eps_scale", "ae_learning_rate"):
             if getattr(self, name) <= 0.0:
                 raise DataError(f"{name} must be positive")
+        if not self.features:
+            raise DataError("features must name at least one feature")
+        for name in self.features:
+            _member(FeatureKind, name, "feature")
+        for name in self.alarm_categories:
+            _member(DetectorCategory, name, "alarm category")
+        order = self.arima_order
+        if len(order) != 3 or not all(isinstance(x, int) and x >= 0 for x in order):
+            raise DataError(f"arima_order must be three non-negative ints, got {order!r}")
         if self.mode not in (UNIVARIATE, MULTIVARIATE, BOTH):
             raise DataError(f"unknown mode {self.mode!r}")
         if self.window_duration % self.grid_step or self.window_stride % self.grid_step:
@@ -111,6 +129,14 @@ class EngineConfig:
         for name in self.clustering_detectors:
             if name not in CLUSTERING_KINDS:
                 raise DataError(f"unknown clustering detector {name!r}")
+
+
+def _member(kind: type[enum.Enum], name: str, what: str) -> None:
+    try:
+        kind(name)
+    except ValueError:
+        known = ", ".join(member.value for member in kind)
+        raise DataError(f"unknown {what} {name!r}; expected one of {known}") from None
 
 
 def _parse_value(text: str, annotation):
@@ -132,19 +158,26 @@ def _parse_value(text: str, annotation):
     return text
 
 
-def parse_config_text(text: str, base: EngineConfig | None = None) -> EngineConfig:
-    """Build a config from flat ``key = value`` lines over the defaults."""
-    base = base if base is not None else EngineConfig()
-    known = {f.name: f for f in fields(EngineConfig)}
-    overrides = {}
+def _key_value_lines(text: str, what: str):
+    """(line number, key, value) of each ``key = value`` line, with ``#``
+    comments and blank lines skipped; key and value are stripped. A line
+    without ``=`` raises, its message prefixed "<what> line N"."""
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise DataError(f"config line {line_no}: expected 'key = value'")
+            raise DataError(f"{what} line {line_no}: expected 'key = value'")
         key, _, value = line.partition("=")
-        key = key.strip()
+        yield line_no, key.strip(), value.strip()
+
+
+def parse_config_text(text: str, base: EngineConfig | None = None) -> EngineConfig:
+    """Build a config from flat ``key = value`` lines over the defaults."""
+    base = base if base is not None else EngineConfig()
+    known = {f.name: f for f in fields(EngineConfig)}
+    overrides = {}
+    for line_no, key, value in _key_value_lines(text, "config"):
         if key not in known:
             raise DataError(f"config line {line_no}: unknown key {key!r}")
         annotation = known[key].type

@@ -11,7 +11,6 @@ configured categories.
 
 from __future__ import annotations
 
-import enum
 import zlib
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -27,6 +26,7 @@ from .config import (
     PREDICTIVE_KINDS,
     REDUCTION_KINDS,
     UNIVARIATE,
+    DetectorCategory,
     EngineConfig,
 )
 from .errors import DataError, FitError, NumericError
@@ -43,31 +43,14 @@ from .series import (
 MULTI_GROUP = "multi"
 
 
-class DetectorCategory(enum.Enum):
-    PREDICTIVE = "predictive"
-    REDUCTION = "reduction"
-    CLUSTERING = "clustering"
-
-
-_FEATURE_BY_NAME = {
-    "value": FeatureKind.PAYMENT_AMOUNT,
-    "gasprice": FeatureKind.GAS_PRICE,
-    "gaslimit": FeatureKind.GAS_LIMIT,
-}
-
-
 @dataclass(frozen=True)
 class DetectorVerdict:
-    """One detector's per-point flags."""
+    """One detector's per-point flags, for the last ``len(flags)`` cells
+    of the timeline its votes are merged over."""
 
     detector_id: str
     category: DetectorCategory
-    timestamps: np.ndarray = field(repr=False)
     flags: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if len(self.flags) != len(self.timestamps):
-            raise DataError("flags must cover the verdict's point set")
 
 
 @dataclass
@@ -117,8 +100,7 @@ def build_grids(transactions, config: EngineConfig) -> dict[str, TimeSeries]:
     """Per-feature time-domain grids on a common timeline."""
     grids = {}
     for name in config.features:
-        feature = _FEATURE_BY_NAME[name]
-        sampled = merge_cooccurring(to_feature_series(transactions, feature))
+        sampled = merge_cooccurring(to_feature_series(transactions, FeatureKind(name)))
         grids[name] = resample(sampled, config.grid_step)
     spans = {(g.timestamps[0], g.timestamps[-1]) for g in grids.values()}
     if len(spans) != 1:
@@ -605,30 +587,23 @@ def score_bank(
     banks cover [unsupervised_start, n). ``carried`` holds a stream's
     per-detector predictive states by detector id, and is updated.
     """
-    timeline = next(iter(grids.values())).timestamps
-    n = len(timeline)
     multi_rows = None
     if any(det.group == MULTI_GROUP for det in detectors):
         multi_rows = np.column_stack([grids[name].values for name in config.features])
     verdicts: dict[str, list[DetectorVerdict]] = {}
     for det in detectors:
         if det.category is DetectorCategory.PREDICTIVE:
-            start = predictive_start
             state = None if carried is None else carried.setdefault(det.detector_id, {})
-            flags = _predictive_point_flags(det, grids[det.group].values, start, state)
+            flags = _predictive_point_flags(
+                det, grids[det.group].values, predictive_start, state
+            )
         else:
-            start = unsupervised_start
             values = (
                 multi_rows if det.group == MULTI_GROUP else grids[det.group].values
             )
-            flags = _window_point_flags(det, values, start, config.window_vote)
+            flags = _window_point_flags(det, values, unsupervised_start, config.window_vote)
         verdicts.setdefault(det.group, []).append(
-            DetectorVerdict(
-                detector_id=det.detector_id,
-                category=det.category,
-                timestamps=timeline[start:],
-                flags=flags,
-            )
+            DetectorVerdict(det.detector_id, det.category, flags)
         )
     return verdicts
 
@@ -641,13 +616,13 @@ def merge_group_votes(
 ) -> EnsembleReport:
     """Combine per-group category majorities into one report.
 
-    A category's decision at a point is the OR over groups of that
-    group's strict majority; the reported counts come from the group
-    with the strongest vote margin there, so decision == (flagged >
-    total/2) stays true pointwise.
+    Each verdict's flags cover the last ``len(flags)`` cells of
+    ``timeline``. A category's decision at a point is the OR over groups
+    of that group's strict majority; the reported counts come from the
+    group with the strongest vote margin there, so decision == (flagged
+    > total/2) stays true pointwise.
     """
     n = len(timeline)
-    index = {int(t): i for i, t in enumerate(timeline)}
     best_margin: dict[str, np.ndarray] = {}
     categories: dict[str, CategoryTally] = {}
     flagging: list[list[str]] = [[] for _ in range(n)]
@@ -656,8 +631,7 @@ def merge_group_votes(
             members = [v for v in verdicts if v.category is cat]
             if not members:
                 continue
-            ts = members[0].timestamps
-            offsets = np.array([index[int(t)] for t in ts])
+            first = n - len(members[0].flags)
             flagged = np.sum([v.flags.astype(int) for v in members], axis=0)
             total = len(members)
             margin = 2 * flagged - total
@@ -670,17 +644,16 @@ def merge_group_votes(
                 )
                 categories[cat.value] = tally
                 best_margin[cat.value] = np.full(n, -np.inf)
-            seen = best_margin[cat.value]
-            better = margin > seen[offsets]
-            upd = offsets[better]
-            tally.flagged[upd] = flagged[better]
-            tally.total[upd] = total
-            seen[upd] = margin[better]
-            tally.decision[offsets] |= margin > 0
+            seen = best_margin[cat.value][first:]
+            better = margin > seen
+            tally.flagged[first:][better] = flagged[better]
+            tally.total[first:][better] = total
+            seen[better] = margin[better]
+            tally.decision[first:] |= margin > 0
         for v in verdicts:
-            for t, f in zip(v.timestamps, v.flags):
-                if f:
-                    flagging[index[int(t)]].append(v.detector_id)
+            first = n - len(v.flags)
+            for i in np.flatnonzero(v.flags):
+                flagging[first + i].append(v.detector_id)
     enabled = alarm_categories or tuple(categories.keys())
     alarm = np.zeros(n, dtype=bool)
     for name in enabled:
@@ -750,7 +723,6 @@ class StreamEngine:
     detectors: list[FittedDetector]
     warnings: list[str]
     last_retrain: int
-    alarmed: set = field(default_factory=set)
     carried: dict = field(default_factory=dict)
 
 
@@ -852,25 +824,17 @@ def stream_advance(engine: StreamEngine, new_points: dict[str, TimeSeries]) -> l
     )
     timeline = next(iter(engine.grids.values())).timestamps
     report = merge_group_votes(verdicts, timeline[start:], config.alarm_categories)
-    alarms = []
-    for i, t in enumerate(report.timestamps):
-        if not report.alarm[i]:
-            continue
-        t = int(t)
-        if t in engine.alarmed:
-            continue
-        engine.alarmed.add(t)
-        alarms.append(
-            Alarm(
-                timestamp=t,
-                account=engine.account,
-                categories=report.categories_at(i),
-                detectors=report.flagging_detectors[i],
-                gap_notice=gap,
-            )
+    # every tick scores only cells after the last tick's, so no cell
+    # can alarm twice
+    alarms = [
+        Alarm(
+            timestamp=int(report.timestamps[i]),
+            account=engine.account,
+            categories=report.categories_at(i),
+            detectors=report.flagging_detectors[i],
+            gap_notice=gap,
         )
-    # keep the alarmed-set bounded to the database span
-    horizon = now - config.database_span
-    engine.alarmed = {t for t in engine.alarmed if t >= horizon}
+        for i in np.flatnonzero(report.alarm)
+    ]
     engine.carried = carried
     return alarms

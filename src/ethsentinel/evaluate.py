@@ -112,24 +112,17 @@ def evaluate(report: EnsembleReport, labels, match_tolerance: int) -> EvalMetric
     )
 
 
-def emit_plot_data(
-    report: EnsembleReport,
-    grids: dict,
-    out_dir: str,
-    detector_ids: list[str] | None = None,
-) -> list[str]:
+def emit_plot_data(report: EnsembleReport, grids: dict, out_dir: str) -> list[str]:
     """One CSV per feature: timestamp, value, per-detector flags,
-    per-category decisions, final alarm. Returns the written paths."""
-    if detector_ids is None:
-        seen: list[str] = []
-        for ids in report.flagging_detectors:
-            for detector_id in ids:
-                if detector_id not in seen:
-                    seen.append(detector_id)
-        detector_ids = sorted(seen)
+    per-category decisions, final alarm. Row i of a grid is record i of
+    the report. Returns the written paths."""
+    n = len(report.timestamps)
+    for name, grid in grids.items():
+        if len(grid) != n:
+            raise DataError(f"grid {name!r} has {len(grid)} cells for {n} report records")
+    detector_ids = sorted({d for ids in report.flagging_detectors for d in ids})
     category_names = list(report.categories)
     flag_sets = [frozenset(ids) for ids in report.flagging_detectors]
-    index = {int(t): i for i, t in enumerate(report.timestamps)}
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for name, grid in grids.items():
@@ -143,21 +136,13 @@ def emit_plot_data(
         try:
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(",".join(header) + "\n")
-                for t, v in zip(grid.timestamps, grid.values):
-                    i = index.get(int(t))
-                    if i is None:
-                        flags = ["0"] * len(detector_ids)
-                        cats = ["0"] * len(category_names)
-                        alarm = "0"
-                    else:
-                        flags = [
-                            "1" if d in flag_sets[i] else "0" for d in detector_ids
-                        ]
-                        cats = [
-                            "1" if report.categories[c].decision[i] else "0"
-                            for c in category_names
-                        ]
-                        alarm = "1" if report.alarm[i] else "0"
+                for i, (t, v) in enumerate(zip(grid.timestamps, grid.values)):
+                    flags = ["1" if d in flag_sets[i] else "0" for d in detector_ids]
+                    cats = [
+                        "1" if report.categories[c].decision[i] else "0"
+                        for c in category_names
+                    ]
+                    alarm = "1" if report.alarm[i] else "0"
                     row = [str(int(t)), repr(float(v))] + flags + cats + [alarm]
                     fh.write(",".join(row) + "\n")
         except OSError as exc:

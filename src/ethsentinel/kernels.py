@@ -1,6 +1,7 @@
-"""Kernel functions, Gram matrices, kernel ridge regression and the
-nu-one-class kernel machine behind the OCSVM detector. ``sq_dists`` is
-the package's one pairwise squared-distance helper, and
+"""Kernel matrices, kernel ridge regression and the nu-one-class kernel
+machine behind the OCSVM detector. The kernel is RBF only: no detector
+uses another. ``sq_dists`` is the package's one pairwise squared-distance
+helper, and
 ``by_row_blocks`` builds a (rows x reference) matrix a block of rows at
 a time, so that no distance matrix grows with the square of a series.
 
@@ -19,10 +20,6 @@ from .errors import DataError, NumericError
 
 from ._hot import smo_solve
 
-LINEAR = "linear"
-POLYNOMIAL = "polynomial"
-RBF = "rbf"
-
 SMO_TOLERANCE = 1e-4
 SMO_MAX_ITER = 100_000
 
@@ -31,19 +28,12 @@ _ROW_BLOCK = 512
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Linear, polynomial or RBF kernel with its parameters."""
+    """An RBF kernel exp(-gamma * |x - y|^2)."""
 
-    kind: str = RBF
-    degree: int = 3
-    coef0: float = 0.0
     gamma: float | None = None  # None: 1/(d * mean column variance) at fit
 
     def __post_init__(self):
-        if self.kind not in (LINEAR, POLYNOMIAL, RBF):
-            raise DataError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == POLYNOMIAL and self.degree < 1:
-            raise DataError("polynomial degree must be >= 1")
-        if self.kind == RBF and self.gamma is not None and self.gamma <= 0:
+        if self.gamma is not None and self.gamma <= 0:
             raise DataError("RBF gamma must be positive")
 
 
@@ -95,10 +85,6 @@ def kernel_matrix(
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     if X.shape[1] != Y.shape[1]:
         raise DataError("kernel arguments must share a dimension")
-    if spec.kind == LINEAR:
-        return X @ Y.T
-    if spec.kind == POLYNOMIAL:
-        return (X @ Y.T + spec.coef0) ** spec.degree
     if gamma is None:
         gamma = spec.gamma if spec.gamma is not None else 1.0 / X.shape[1]
     return np.exp(-gamma * sq_dists(X, Y, Y_sq))
@@ -163,7 +149,6 @@ class OneClassModel:
     nu: float
     converged: bool
     iterations: int
-    objective_history: list = field(default_factory=list, repr=False, compare=False)
 
 
 def _initial_alphas(n: int, C: float) -> np.ndarray:
@@ -176,14 +161,7 @@ def _initial_alphas(n: int, C: float) -> np.ndarray:
     return a
 
 
-def one_class_fit(
-    X: np.ndarray,
-    spec: KernelSpec,
-    nu: float,
-    tol: float = SMO_TOLERANCE,
-    max_iter: int = SMO_MAX_ITER,
-    record_objective: bool = False,
-) -> OneClassModel:
+def one_class_fit(X: np.ndarray, spec: KernelSpec, nu: float) -> OneClassModel:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     n = len(X)
     if n < 2:
@@ -194,9 +172,7 @@ def one_class_fit(
     G = gram(spec, X, gamma=gamma)
     C = 1.0 / (nu * n)
     a = _initial_alphas(n, C)
-    iters, converged, history = smo_solve(
-        np.ascontiguousarray(G), a, C, tol, max_iter, record_objective
-    )
+    iters, converged = smo_solve(np.ascontiguousarray(G), a, C, SMO_TOLERANCE, SMO_MAX_ITER)
     g = G @ a
     margin = (a > 1e-10) & (a < C - 1e-10)
     if np.any(margin):
@@ -217,7 +193,6 @@ def one_class_fit(
         nu=nu,
         converged=converged,
         iterations=iters,
-        objective_history=history,
     )
 
 

@@ -20,13 +20,17 @@ import numpy as np
 
 from .errors import DataError, NumericError
 
+JACOBI_TOLERANCE = 1e-12
+JACOBI_MAX_SWEEPS = 100
 
-def jacobi_eigh(A: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
+
+def jacobi_eigh(A: np.ndarray):
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 
     Returns (eigenvalues, eigenvectors) sorted descending; eigenvectors
-    are the columns. Iterates until the off-diagonal Frobenius norm
-    drops below ``tol`` times the matrix norm.
+    are the columns. Sweeps, at most ``JACOBI_MAX_SWEEPS`` of them, until
+    the off-diagonal Frobenius norm drops below ``JACOBI_TOLERANCE`` times
+    the matrix norm.
     """
     A = np.array(A, dtype=np.float64)
     n = A.shape[0]
@@ -34,9 +38,9 @@ def jacobi_eigh(A: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
         raise DataError("jacobi_eigh expects a square matrix")
     V = np.eye(n)
     scale = max(float(np.linalg.norm(A)), 1e-300)
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         off = math.sqrt(max(0.0, float(np.sum(A * A) - np.sum(np.diag(A) ** 2))))
-        if off <= tol * scale:
+        if off <= JACOBI_TOLERANCE * scale:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):

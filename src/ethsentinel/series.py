@@ -15,13 +15,10 @@ import numpy as np
 
 from .errors import DataError
 
-SAMPLE_DOMAIN = "sample"
-TIME_DOMAIN = "time"
-
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Ordered (timestamp, value) pairs with a domain tag.
+    """Ordered (timestamp, value) pairs.
 
     ``step`` is None in the sample domain; in the time domain it is the
     grid spacing in seconds and timestamps satisfy t_i = t_0 + i*step.
@@ -43,10 +40,6 @@ class TimeSeries:
                 raise DataError("grid step must be positive")
             if len(ts) > 1 and np.any(np.diff(ts) != self.step):
                 raise DataError("time-domain timestamps must lie on a uniform grid")
-
-    @property
-    def domain(self) -> str:
-        return SAMPLE_DOMAIN if self.step is None else TIME_DOMAIN
 
     def __len__(self) -> int:
         return len(self.timestamps)

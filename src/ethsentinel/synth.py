@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from .config import _key_value_lines
 from .errors import DataError
 from .ingest import WEI_PER_ETHER, WEI_PER_GWEI, Transaction
 
@@ -167,15 +168,7 @@ def parse_synth_config(text: str, base: SynthConfig | None = None) -> SynthConfi
     overrides: dict = {}
     injections = list(base.injections)
     injections_reset = False
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DataError(f"synth config line {line_no}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+    for line_no, key, value in _key_value_lines(text, "synth config"):
         try:
             if key == "inject":
                 parts = [p.strip() for p in value.split(",")]

@@ -169,8 +169,9 @@ def test_criterion_02_forecaster_agreement():
         detectors, _ = ensemble.fit_bank(grids, config, predictive_train_cells=split)
         verdicts = ensemble.score_bank(detectors, grids, config, predictive_start=split)
         by_id = {v.detector_id: v for v in verdicts["value"]}
+        scored = grids["value"].timestamps[split:]
         events = {
-            name: coalesced_events(by_id[f"{name}:value"].timestamps, by_id[f"{name}:value"].flags)
+            name: coalesced_events(scored, by_id[f"{name}:value"].flags)
             for name in ("arima", "sarima", "stl")
         }
         pairwise = [

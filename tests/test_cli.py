@@ -151,4 +151,14 @@ def test_exit_codes(workspace, capsys):
         encoding="utf-8",
     )
     assert run("eval", "--report", report, "--labels", empty) == 2
+    # a config naming an unknown feature or category
+    assert run(
+        "detect", "batch", "--input", EXPLORER_FIXTURE, "--features", "value,gasprize",
+        "--out", ws / "r.jsonl",
+    ) == 2
+    typo = ws / "typo.cfg"
+    typo.write_text(SMALL_ENGINE_CFG + "alarm_categories = predictve\n", encoding="utf-8")
+    assert run(
+        "detect", "batch", "--input", EXPLORER_FIXTURE, "--config", typo, "--out", ws / "r.jsonl"
+    ) == 2
     capsys.readouterr()

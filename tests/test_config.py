@@ -58,11 +58,21 @@ def test_validation():
         {"dbscan_eps_scale": 0.0},
         {"ae_learning_rate": 0.0},
         {"ae_learning_rate": -0.01},
+        {"features": ("value", "gasprize")},
+        {"features": ()},
+        {"alarm_categories": ("predictve",)},
+        {"arima_order": (1, 1)},
+        {"arima_order": (1, -1, 1)},
     ):
         with pytest.raises(DataError):
             EngineConfig(**bad)
     with pytest.raises(DataError):
         parse_config_text("residual_multiplier = nan")
+    with pytest.raises(DataError):
+        parse_config_text("alarm_categories = predictve")
+    with pytest.raises(DataError):
+        parse_config_text("arima_order = 1,1")
+    assert EngineConfig(alarm_categories=("reduction",), features=("gaslimit",))
     # zero keeps its meaning where it has one; the boundaries of the ranges hold
     EngineConfig(sarima_period=0, cart_depth=0, kmeans_k=0, seed=0, dbscan_eps=0.0)
     EngineConfig(ocsvm_nu=1.0, residual_multiplier=0.0, train_ratio=0.5, pca_explained=1.0)

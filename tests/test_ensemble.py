@@ -23,11 +23,8 @@ from ethsentinel.series import TimeSeries
 from oracles import naive_knn_loo_predictions
 
 
-def verdict(det_id, cat, flags, ts=None):
-    flags = np.asarray(flags, dtype=bool)
-    if ts is None:
-        ts = 60 * np.arange(len(flags))
-    return DetectorVerdict(det_id, cat, np.asarray(ts), flags)
+def verdict(det_id, cat, flags):
+    return DetectorVerdict(det_id, cat, np.asarray(flags, dtype=bool))
 
 
 P, R, C = DetectorCategory.PREDICTIVE, DetectorCategory.REDUCTION, DetectorCategory.CLUSTERING
@@ -35,7 +32,7 @@ P, R, C = DetectorCategory.PREDICTIVE, DetectorCategory.REDUCTION, DetectorCateg
 
 def vote(verdicts):
     """Votes of a single stream group over its own point set."""
-    return merge_group_votes({"g": verdicts}, verdicts[0].timestamps)
+    return merge_group_votes({"g": verdicts}, 60 * np.arange(len(verdicts[0].flags)))
 
 
 def test_strict_majority_two_of_three_fires():
@@ -97,6 +94,51 @@ def test_vote_monotone_in_flags():
     )
     # adding flags can only add alarms, never remove them
     assert np.all(boosted.alarm >= base.alarm)
+
+
+def test_votes_of_verdicts_covering_the_last_cells():
+    # the batch shape: predictive verdicts cover the scored tail, row
+    # verdicts every cell, in two groups
+    timeline = 60 * np.arange(5)
+    report = merge_group_votes(
+        {
+            "a": [
+                verdict("arima:a", P, [1, 1]),
+                verdict("knn:a", P, [0, 1]),
+                verdict("stl:a", P, [1, 0]),
+                verdict("pca:a", R, [1, 0, 0, 1, 0]),
+            ],
+            "b": [
+                verdict("arima:b", P, [0, 1]),
+                verdict("knn:b", P, [0, 0]),
+                verdict("pca:b", R, [0, 0, 1, 1, 1]),
+                verdict("ae:b", R, [0, 1, 1, 0, 1]),
+            ],
+        },
+        timeline,
+        alarm_categories=("predictive",),
+    )
+    pred = report.categories["predictive"]
+    # cell 3: group a 2 of 3 (margin +1), group b 0 of 2; cell 4: a 2 of
+    # 3, b 1 of 2 (margin 0). Cells 0-2 have no predictive vote.
+    assert pred.flagged.tolist() == [0, 0, 0, 2, 2]
+    assert pred.total.tolist() == [0, 0, 0, 3, 3]
+    assert pred.decision.tolist() == [False, False, False, True, True]
+    red = report.categories["reduction"]
+    # a's 1 of 1 wins cells 0 and 3 (margin +1 against b's -2 and 0);
+    # b's 2 of 2 wins cells 2 and 4, and its 1 of 2 (margin 0) cell 1
+    # over a's 0 of 1 (margin -1)
+    assert red.flagged.tolist() == [1, 1, 2, 1, 2]
+    assert red.total.tolist() == [1, 2, 2, 1, 2]
+    assert red.decision.tolist() == [True, False, True, True, True]
+    assert report.alarm.tolist() == pred.decision.tolist()
+    assert report.flagging_detectors == [
+        ["pca:a"],
+        ["ae:b"],
+        ["pca:b", "ae:b"],
+        ["arima:a", "stl:a", "pca:a", "pca:b"],
+        ["arima:a", "knn:a", "arima:b", "pca:b", "ae:b"],
+    ]
 
 
 def small_config(**overrides):
