@@ -195,6 +195,8 @@ def estimate_eps(X: np.ndarray, k: int) -> float:
         raise DataError("need more rows than k")
     # column 0 is the point itself; the square root is monotone, so it
     # is taken of the k-th squared distance only
-    kth = np.sqrt(np.partition(sq_dists(X, X), k, axis=1)[:, k])
+    sq = sq_dists(X, X)
+    sq.partition(k, axis=1)  # in place: one n-square matrix at the peak
+    kth = np.sqrt(sq[:, k])
     return float(np.quantile(kth, 0.95))
 

@@ -120,15 +120,21 @@ class EngineConfig:
             raise DataError("window duration and stride must be multiples of the grid step")
         if self.window_vote not in ("any", "majority", "all"):
             raise DataError(f"unknown window vote rule {self.window_vote!r}")
-        for name in self.predictive_detectors:
-            if name not in PREDICTIVE_KINDS:
-                raise DataError(f"unknown predictive detector {name!r}")
-        for name in self.reduction_detectors:
-            if name not in REDUCTION_KINDS:
-                raise DataError(f"unknown reduction detector {name!r}")
-        for name in self.clustering_detectors:
-            if name not in CLUSTERING_KINDS:
-                raise DataError(f"unknown clustering detector {name!r}")
+        banks = {
+            DetectorCategory.PREDICTIVE: (self.predictive_detectors, PREDICTIVE_KINDS),
+            DetectorCategory.REDUCTION: (self.reduction_detectors, REDUCTION_KINDS),
+            DetectorCategory.CLUSTERING: (self.clustering_detectors, CLUSTERING_KINDS),
+        }
+        for category, (names, kinds) in banks.items():
+            for name in names:
+                if name not in kinds:
+                    raise DataError(f"unknown {category.value} detector {name!r}")
+            # twins would fit under one detector id and both vote
+            if len(set(names)) < len(names):
+                raise DataError(f"{category.value}_detectors lists a detector twice: {names!r}")
+        for name in self.alarm_categories:
+            if not banks[DetectorCategory(name)][0]:
+                raise DataError(f"alarm category {name!r} has no detectors to vote")
 
 
 def _member(kind: type[enum.Enum], name: str, what: str) -> None:

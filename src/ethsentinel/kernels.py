@@ -25,6 +25,9 @@ SMO_MAX_ITER = 100_000
 
 _ROW_BLOCK = 512
 
+# entries in one step of an in-place pass over a distance or kernel matrix
+_STEP_ENTRIES = 1 << 20
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -53,11 +56,19 @@ def sq_dists(A: np.ndarray, B: np.ndarray, B_sq: np.ndarray | None = None) -> np
     at zero: the expanded form rounds below it for near-duplicate rows.
 
     ``B_sq`` is ``np.sum(B * B, axis=1)``, computed once by a caller
-    that measures many row sets against the same fixed B.
+    that measures many row sets against the same fixed B. The result is
+    built in the buffer of ``A @ B.T``, a step of rows at a time, so its
+    temporaries stay near ``_STEP_ENTRIES`` entries.
     """
     if B_sq is None:
         B_sq = np.sum(B * B, axis=1)
-    sq = np.sum(A * A, axis=1)[:, None] + B_sq[None, :] - 2.0 * (A @ B.T)
+    A_sq = np.sum(A * A, axis=1)
+    sq = A @ B.T
+    sq *= 2.0
+    step = max(1, _STEP_ENTRIES // max(1, len(B)))
+    for lo in range(0, len(A), step):
+        rows = slice(lo, lo + step)
+        np.subtract(A_sq[rows, None] + B_sq, sq[rows], out=sq[rows])
     np.maximum(sq, 0.0, out=sq)
     return sq
 
@@ -79,21 +90,36 @@ def kernel_matrix(
     gamma: float | None = None,
     Y_sq: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Cross-kernel matrix K_ij = k(X_i, Y_j), vectorized; ``Y_sq``, the
-    squared row norms of a fixed Y, goes to ``sq_dists``."""
+    """Cross-kernel matrix K_ij = k(X_i, Y_j), built in the buffer of
+    the distances; ``Y_sq``, the squared row norms of a fixed Y, goes to
+    ``sq_dists``."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     if X.shape[1] != Y.shape[1]:
         raise DataError("kernel arguments must share a dimension")
     if gamma is None:
         gamma = spec.gamma if spec.gamma is not None else 1.0 / X.shape[1]
-    return np.exp(-gamma * sq_dists(X, Y, Y_sq))
+    K = sq_dists(X, Y, Y_sq)
+    K *= -gamma
+    return np.exp(K, out=K)
 
 
 def gram(spec: KernelSpec, X: np.ndarray, gamma: float | None = None) -> np.ndarray:
-    """Symmetric Gram matrix; symmetry is enforced exactly."""
+    """Symmetric Gram matrix; symmetry is enforced exactly, in place, a
+    step of rows at a time: entry (i, j) with i, j >= lo becomes the
+    mean of (i, j) and (j, i) in both triangles, and no step reads an
+    entry that an earlier step wrote."""
     G = kernel_matrix(spec, X, X, gamma=gamma)
-    return (G + G.T) / 2.0
+    n = len(G)
+    step = max(1, _STEP_ENTRIES // n)
+    for lo in range(0, n, step):
+        hi = lo + step
+        upper = G[lo:hi, lo:] + G[lo:, lo:hi].T
+        upper /= 2.0
+        G[lo:hi, lo:] = upper
+        G[lo:, lo:hi] = upper.T
+        del upper  # else it lives on while the next step's sum is built
+    return G
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ subtracted). Estimation is Hannan-Rissanen (long-AR residual proxy,
 then least squares) followed by one Gauss-Newton pass on the
 conditional sum of squares; deterministic, no optimizer dependency.
 The long AR, with m = P*s lags for SARIMA, solves its normal
-equations; ``lstsq`` stays for a nearly rank-deficient long AR and for
-the small second-stage regression.
+equations by one Cholesky factor of a Gram built from shifted sums of
+the series, without its lag design; ``lstsq`` stays for a nearly
+rank-deficient long AR and for the small second-stage regression.
 """
 
 from __future__ import annotations
@@ -166,37 +167,90 @@ def _lstsq(design: np.ndarray, target: np.ndarray) -> np.ndarray:
 _GRAM_PIVOT_FLOOR = 1e-4
 
 
+def _long_ar_gram(w: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``design.T @ design`` and ``design.T @ w[m:]`` for the long AR's
+    (n-m) x (m+1) design (an intercept column, then lags 1 to m),
+    built from shifted sums of ``w`` without the design.
+
+    A lag column is the one before it shifted by one cell, so entry
+    (j+1, l+1) of the lag block is entry (j, l) with one product added
+    at the head of the series and one dropped at its tail (Hannan &
+    Rissanen 1982). The lag-1 row takes m dot products, each later row
+    one vector step, and the intercept row a ``cumsum``.
+    """
+    n = len(w)
+    gram = np.empty((m + 1, m + 1))
+    sums = np.concatenate(([0.0], np.cumsum(w)))
+    lags = np.arange(1, m + 1)
+    gram[0, 0] = n - m
+    gram[0, 1:] = sums[n - lags] - sums[m - lags]  # lag column k sums w[m-k : n-k]
+    gram[1:, 0] = gram[0, 1:]
+    # correlate's entry i pairs w[i:] with the given slice: lag m - i
+    gram[1, 1:] = np.correlate(w[:-1], w[m - 1 : -1])[::-1]
+    gram[1:, 1] = gram[1, 1:]  # the recursion reads column 1
+    head = w[: m - 1][::-1]  # w[m-1-l] for l = 1 .. m-1
+    tail = w[n - m : n - 1][::-1]  # w[n-1-l]
+    for j in range(1, m):
+        gram[j + 1, 2:] = gram[j, 1:m] + w[m - 1 - j] * head - w[n - 1 - j] * tail
+    rhs = np.empty(m + 1)
+    rhs[0] = sums[n] - sums[m]
+    rhs[1:] = np.correlate(w[:-1], w[m:])[::-1]
+    return gram, rhs
+
+
+_SUBSTITUTION_BLOCK = 64
+
+
+def _forward_substitution(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``lower @ x = b`` for a lower-triangular ``lower``, a block
+    of rows at a time: each block takes what the rows before it explain
+    off its right-hand side and solves its own diagonal block."""
+    x = np.empty_like(b)
+    for lo in range(0, len(b), _SUBSTITUTION_BLOCK):
+        hi = lo + _SUBSTITUTION_BLOCK
+        x[lo:hi] = np.linalg.solve(lower[lo:hi, lo:hi], b[lo:hi] - lower[lo:hi, :lo] @ x[:lo])
+    return x
+
+
+def _cholesky_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``chol @ chol.T @ x = b``. The back substitution on
+    ``chol.T`` is a forward one with rows and columns reversed."""
+    y = _forward_substitution(chol, b)
+    return _forward_substitution(chol.T[::-1, ::-1], y[::-1])[::-1]
+
+
 def _long_ar_residuals(w: np.ndarray, m: int) -> np.ndarray:
     """Residuals of the least-squares AR(m) fit with intercept of
     ``w[m:]`` on its m lags, zero over the first m cells.
 
-    The fit solves the normal equations, which costs one Gram product
-    and two (m+1)-square factorizations instead of an SVD of the
-    (n-m) x (m+1) design. ``lstsq`` solves it instead when the design's
-    column-scaled Gram has no Cholesky factor or a pivot below
+    The fit solves the normal equations: the Gram comes from shifted
+    sums of ``w`` (``_long_ar_gram``), is scaled to unit diagonal, and
+    its one Cholesky factor both checks the pivots and solves the
+    system. ``lstsq`` on the (n-m) x (m+1) design solves it instead when
+    the scaled Gram has no Cholesky factor or a pivot below
     ``_GRAM_PIVOT_FLOOR``, where squaring the condition number could
-    cost the solution its digits or ``solve`` could raise.
+    cost the solution its digits. Only that path builds the design.
     """
     n = len(w)
-    design = np.empty((n - m, m + 1))
-    design[:, 0] = 1.0
-    design[:, 1:] = sliding_window_view(w[:-1], m)[:, ::-1]  # column k is lag k
-    target = w[m:]
-    gram = design.T @ design
+    gram, rhs = _long_ar_gram(w, m)
     scale = np.sqrt(gram.diagonal())
     with np.errstate(divide="ignore", invalid="ignore"):
         gram /= scale[:, None]  # in place: one (m+1)-square matrix less at the peak
         gram /= scale
         try:
-            pivot = np.linalg.cholesky(gram).diagonal().min() ** 2
+            chol = np.linalg.cholesky(gram)
+            pivot = chol.diagonal().min() ** 2
         except np.linalg.LinAlgError:
             pivot = np.nan
-    if pivot >= _GRAM_PIVOT_FLOOR:
-        coeffs = np.linalg.solve(gram, (design.T @ target) / scale) / scale
-    else:
-        coeffs = _lstsq(design, target)
     e_hat = np.zeros(n)
-    e_hat[m:] = target - design @ coeffs
+    if pivot >= _GRAM_PIVOT_FLOOR:
+        coeffs = _cholesky_solve(chol, rhs / scale) / scale
+        e_hat[m:] = w[m:] - coeffs[0] - np.convolve(w[:-1], coeffs[1:], "valid")
+    else:
+        design = np.empty((n - m, m + 1))
+        design[:, 0] = 1.0
+        design[:, 1:] = sliding_window_view(w[:-1], m)[:, ::-1]  # column k is lag k
+        e_hat[m:] = w[m:] - design @ _lstsq(design, w[m:])
     return e_hat
 
 
@@ -206,8 +260,9 @@ def _hannan_rissanen(w: np.ndarray, order: ArimaOrder) -> np.ndarray:
 
     Stage 1 fits a long AR(m) by least squares and keeps its residuals
     as innovation estimates (``_long_ar_residuals``). It solves the
-    normal equations, and falls back to ``lstsq`` only when the design's
-    column-scaled Gram has no Cholesky factor or a pivot below
+    normal equations with the Cholesky factor of a Gram built from
+    shifted sums of ``w``, and builds the lag design for ``lstsq`` only
+    when the column-scaled Gram has no Cholesky factor or a pivot below
     ``_GRAM_PIVOT_FLOOR``. Stage 2 regresses ``w`` on its lags and the
     lagged estimates with ``lstsq``, over 1 + p + P + q + Q columns.
     """

@@ -1,6 +1,8 @@
-"""Shared reference implementations used by multiple test modules."""
+"""Shared reference implementations used by multiple test modules, and
+``traced_peak`` for the memory bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -234,14 +236,22 @@ def naive_ae_train(X, hidden, epochs, learning_rate, seed):
     return (W1, b1, W2, b2), history, errors
 
 
-def naive_long_ar_residuals(w, m):
-    """Reference long-AR residuals: the design built one lag column at
-    a time and solved by the SVD-based least squares."""
+def naive_long_ar_design(w, m):
+    """Reference long-AR design: an intercept column, then lags 1 to m
+    of ``w[m:]``, built one lag column at a time."""
     n = len(w)
     design = np.empty((n - m, m + 1))
     design[:, 0] = 1.0
     for lag in range(1, m + 1):
         design[:, lag] = w[m - lag : n - lag]
+    return design
+
+
+def naive_long_ar_residuals(w, m):
+    """Reference long-AR residuals: the column-built design solved by
+    the SVD-based least squares."""
+    n = len(w)
+    design = naive_long_ar_design(w, m)
     coeffs, _, _, _ = np.linalg.lstsq(design, w[m:], rcond=None)
     e_hat = np.zeros(n)
     e_hat[m:] = w[m:] - design @ coeffs
@@ -268,3 +278,35 @@ def naive_css_residuals(w, c, phi, sphi, theta, stheta, s, start, history=None):
             pred -= stheta[j] * e[t - (j + 1) * s]
         e[t] = w[t] - pred
     return e
+
+
+def naive_sq_dists(A, B):
+    """Reference squared distances: the expanded form as one expression
+    over whole matrices, clamped at zero."""
+    sq = np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :] - 2.0 * (A @ B.T)
+    np.maximum(sq, 0.0, out=sq)
+    return sq
+
+
+def naive_kernel_matrix(X, Y, gamma):
+    return np.exp(-gamma * naive_sq_dists(X, Y))
+
+
+def naive_gram(X, gamma):
+    G = naive_kernel_matrix(X, X, gamma)
+    return (G + G.T) / 2.0
+
+
+def naive_estimate_eps(X, k):
+    kth = np.sqrt(np.partition(naive_sq_dists(X, X), k, axis=1)[:, k])
+    return float(np.quantile(kth, 0.95))
+
+
+def traced_peak(fn):
+    """Peak bytes that Python and numpy allocate while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

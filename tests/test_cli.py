@@ -161,4 +161,15 @@ def test_exit_codes(workspace, capsys):
     assert run(
         "detect", "batch", "--input", EXPLORER_FIXTURE, "--config", typo, "--out", ws / "r.jsonl"
     ) == 2
+    # a kind listed twice, or an alarm category with no detectors to vote
+    for extra in (
+        "predictive_detectors = knn,knn",
+        "alarm_categories = clustering\nclustering_detectors =",
+    ):
+        skewed = ws / "skewed.cfg"
+        skewed.write_text(SMALL_ENGINE_CFG + extra + "\n", encoding="utf-8")
+        assert run(
+            "detect", "batch", "--input", EXPLORER_FIXTURE, "--config", skewed,
+            "--out", ws / "r.jsonl",
+        ) == 2
     capsys.readouterr()

@@ -15,7 +15,14 @@ from ethsentinel.clustering import (
 )
 from ethsentinel.errors import DataError
 from ethsentinel.kernels import KernelSpec, one_class_decision, one_class_fit, sq_dists
-from oracles import NOISE, naive_dbscan, naive_silhouette, same_partition
+from oracles import (
+    NOISE,
+    naive_dbscan,
+    naive_estimate_eps,
+    naive_silhouette,
+    same_partition,
+    traced_peak,
+)
 
 
 def blobs(seed, centers, n_per, spread=0.3):
@@ -57,6 +64,19 @@ def test_estimate_eps_bounds():
     assert eps == float(np.quantile(np.sort(np.sqrt(sq_dists(X, X)), axis=1)[:, 4], 0.95))
     with pytest.raises(DataError):
         estimate_eps(X[:3], 4)
+
+
+@pytest.mark.parametrize("n", [5, 1024, 1025])  # 1025 rows take two steps of 1023 and 2
+def test_estimate_eps_equals_the_copying_partition(n):
+    X = np.random.default_rng(n).standard_normal((n, 4))
+    X[1::3] = X[0]
+    assert estimate_eps(X, 4) == naive_estimate_eps(X, 4)
+
+
+def test_estimate_eps_holds_one_square_buffer():
+    n = 2048
+    X = np.random.default_rng(1).standard_normal((n, 15))
+    assert traced_peak(lambda: estimate_eps(X, 4)) < 1.5 * n * n * 8
 
 
 def silhouette_cases():

@@ -63,6 +63,13 @@ def test_validation():
         {"alarm_categories": ("predictve",)},
         {"arima_order": (1, 1)},
         {"arima_order": (1, -1, 1)},
+        # a kind listed twice would fit twins under one id that both vote
+        {"predictive_detectors": ("knn", "knn")},
+        {"reduction_detectors": ("pca", "iforest", "pca")},
+        {"clustering_detectors": ("ocsvm", "ocsvm")},
+        # a category that decides the alarm must have detectors to vote
+        {"alarm_categories": ("clustering",), "clustering_detectors": ()},
+        {"alarm_categories": ("reduction", "predictive"), "predictive_detectors": ()},
     ):
         with pytest.raises(DataError):
             EngineConfig(**bad)
@@ -73,6 +80,7 @@ def test_validation():
     with pytest.raises(DataError):
         parse_config_text("arima_order = 1,1")
     assert EngineConfig(alarm_categories=("reduction",), features=("gaslimit",))
+    assert EngineConfig(alarm_categories=("reduction",), clustering_detectors=())
     # zero keeps its meaning where it has one; the boundaries of the ranges hold
     EngineConfig(sarima_period=0, cart_depth=0, kmeans_k=0, seed=0, dbscan_eps=0.0)
     EngineConfig(ocsvm_nu=1.0, residual_multiplier=0.0, train_ratio=0.5, pca_explained=1.0)

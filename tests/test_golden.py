@@ -6,6 +6,9 @@ benchmark's hooks still see every detector kind."""
 
 import hashlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,6 +38,28 @@ def report_digest(base_rate: float, seed: int) -> str:
 def test_batch_report_digest(name):
     base_rate, seed, digest = GOLDEN[name]
     assert report_digest(base_rate, seed) == digest
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_batch_report_digest_with_two_blas_threads(name):
+    """The digests do not depend on the BLAS thread count, which the
+    benchmark pins to 1 and a test run leaves to the core count. The
+    count is read when numpy loads, hence a fresh interpreter."""
+    base_rate, seed, digest = GOLDEN[name]
+    env = os.environ | {
+        "OPENBLAS_NUM_THREADS": "2",
+        "PYTHONPATH": os.pathsep.join(path for path in sys.path if path),
+    }
+    code = f"from test_golden import report_digest; print(report_digest({base_rate}, {seed}))"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=Path(__file__).resolve().parent,
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == digest
 
 
 # two hours of database, 41 one-cell advances, one retrain (at advance

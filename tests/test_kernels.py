@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from ethsentinel import kernels
 from ethsentinel.errors import DataError
 from ethsentinel.kernels import (
     KernelSpec,
@@ -21,6 +22,7 @@ from ethsentinel.kernels import (
     resolve_gamma,
     sq_dists,
 )
+from oracles import naive_gram, naive_kernel_matrix, naive_sq_dists, traced_peak
 
 
 def dual_objective(G, a):
@@ -83,6 +85,42 @@ def test_squared_distances_take_precomputed_reference_norms():
         assert np.array_equal(sq_dists(A, B, B_sq), sq_dists(A, B))
     spec = KernelSpec()
     assert np.array_equal(kernel_matrix(spec, A, B, 0.3, B_sq), kernel_matrix(spec, A, B, 0.3))
+
+
+def rows_with_duplicates(n, d, seed):
+    X = np.random.default_rng(seed).standard_normal((n, d))
+    X[1::3] = X[0]
+    return X
+
+
+REFERENCE_ROWS = 2048
+STEP_ROWS = kernels._STEP_ENTRIES // REFERENCE_ROWS
+
+
+@pytest.mark.parametrize(
+    # one step against the 2048 reference rows covers STEP_ROWS rows,
+    # and one step of an n-square matrix covers STEP_ENTRIES // n rows:
+    # all of 1024, and 1023 of 1025
+    "n",
+    [1, 7, STEP_ROWS, STEP_ROWS + 1, 1024, 1025],
+)
+def test_in_place_distances_and_kernels_equal_the_whole_matrix_forms(n):
+    X = rows_with_duplicates(n, 5, 0)
+    B = rows_with_duplicates(REFERENCE_ROWS, 5, 1)
+    spec = KernelSpec()
+    assert np.array_equal(sq_dists(X, B), naive_sq_dists(X, B))
+    assert np.array_equal(sq_dists(B[:1], X), naive_sq_dists(B[:1], X))
+    assert np.array_equal(sq_dists(X, X), naive_sq_dists(X, X))  # A is B
+    assert np.array_equal(kernel_matrix(spec, X, B, 0.3), naive_kernel_matrix(X, B, 0.3))
+    assert np.array_equal(gram(spec, X, 0.3), naive_gram(X, 0.3))
+
+
+def test_distances_and_gram_hold_one_square_buffer():
+    n = 2048
+    X = rows_with_duplicates(n, 15, 2)
+    bound = 1.5 * n * n * 8
+    assert traced_peak(lambda: sq_dists(X, X)) < bound
+    assert traced_peak(lambda: gram(KernelSpec(), X, 0.1)) < bound
 
 
 def test_gram_symmetry_and_unit_diagonal():

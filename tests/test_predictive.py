@@ -27,6 +27,7 @@ from ethsentinel.predictive import (
     ArimaOrder,
     _best_split,
     _lag_pairs,
+    _long_ar_gram,
     _long_ar_residuals,
     aic,
     arima_fit,
@@ -39,7 +40,13 @@ from ethsentinel.predictive import (
     stl_decompose,
 )
 
-from oracles import naive_best_split, naive_css_residuals, naive_long_ar_residuals
+from oracles import (
+    naive_best_split,
+    naive_css_residuals,
+    naive_long_ar_design,
+    naive_long_ar_residuals,
+    traced_peak,
+)
 
 
 def simulate_arma(phi, theta, n, seed, noise=1.0, burn=200):
@@ -133,6 +140,29 @@ def test_long_ar_residuals_match_lstsq_oracle(make_input):
     np.testing.assert_allclose(
         _long_ar_residuals(w, m), expected, rtol=1e-9, atol=1e-9 * np.abs(expected).max()
     )
+
+
+def trending_series(n, seed):
+    rng = np.random.default_rng(seed)
+    return 3.0 + 0.1 * np.cumsum(rng.standard_normal(n)) + rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("n, m", [(50, 1), (50, 2), (3, 1), (5, 2), (9, 4), (5759, 1440)])
+def test_shifted_sum_gram_matches_design_product(n, m):
+    w = trending_series(n, m)
+    design = naive_long_ar_design(w, m)
+    gram, rhs = _long_ar_gram(w, m)
+    expected = design.T @ design
+    np.testing.assert_allclose(gram, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+    expected = design.T @ w[m:]
+    np.testing.assert_allclose(rhs, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
+def test_long_ar_holds_no_design():
+    # the (n - m) x (m + 1) design alone would be about 3 (m + 1)-square matrices
+    m = 1440
+    w = trending_series(5759, 0)
+    assert traced_peak(lambda: _long_ar_residuals(w, m)) < 2.5 * (m + 1) ** 2 * 8
 
 
 def counting_lstsq(monkeypatch):
