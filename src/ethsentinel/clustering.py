@@ -21,7 +21,6 @@ class KMeansModel:
     centroids: np.ndarray = field(repr=False)
     k: int
     train_distance_quantile: float  # 0.99 quantile of training distances
-    inertia: float
 
 
 @dataclass(frozen=True)
@@ -89,20 +88,16 @@ def kmeans_fit(X: np.ndarray, k: int, seed: int = 0, restarts: int = 4) -> KMean
         centroids, _, inertia = _lloyd(X, centroids)
         if best is None or inertia < best[1]:
             best = (centroids.copy(), inertia)
-    centroids, inertia = best
+    centroids = best[0]
     train_dist = np.sqrt(sq_dists(X, centroids).min(axis=1))
     threshold = float(np.quantile(train_dist, 0.99))
-    return KMeansModel(
-        centroids=centroids, k=k, train_distance_quantile=threshold, inertia=inertia
-    )
+    return KMeansModel(centroids=centroids, k=k, train_distance_quantile=threshold)
 
 
-def kmeans_score(model: KMeansModel, x: np.ndarray) -> np.ndarray | float:
-    """Euclidean distance to the nearest centroid."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    dist = np.sqrt(sq_dists(np.atleast_2d(x), model.centroids).min(axis=1))
-    return float(dist[0]) if single else dist
+def kmeans_score(model: KMeansModel, X: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each row of an (n, d) matrix to its
+    nearest centroid."""
+    return np.sqrt(sq_dists(np.asarray(X, dtype=np.float64), model.centroids).min(axis=1))
 
 
 def silhouette_score(X: np.ndarray, labels: np.ndarray) -> float:

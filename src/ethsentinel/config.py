@@ -18,6 +18,10 @@ BOTH = "both"
 PREDICTIVE_KINDS = ("arima", "sarima", "stl", "knn", "cart", "kridge")
 REDUCTION_KINDS = ("pca", "iforest", "ae")
 CLUSTERING_KINDS = ("kmeans", "dbscan", "ocsvm")
+# kinds fitted on each feature's grid alone, never on the per-cell
+# feature rows: the predictive kinds forecast one series, and the
+# autoencoder has its own window length
+UNIVARIATE_ONLY_KINDS = (*PREDICTIVE_KINDS, "ae")
 
 
 class DetectorCategory(enum.Enum):
@@ -132,9 +136,33 @@ class EngineConfig:
             # twins would fit under one detector id and both vote
             if len(set(names)) < len(names):
                 raise DataError(f"{category.value}_detectors lists a detector twice: {names!r}")
+
+        def wired(names):
+            """Whether ``mode`` and ``features`` fit any of these kinds."""
+            return any(
+                self.wires_univariate
+                or (self.wires_multivariate and name not in UNIVARIATE_ONLY_KINDS)
+                for name in names
+            )
+
+        if not any(wired(names) for names, _ in banks.values()):
+            raise DataError(f"mode {self.mode!r} with features {self.features!r} wires no detector")
         for name in self.alarm_categories:
-            if not banks[DetectorCategory(name)][0]:
-                raise DataError(f"alarm category {name!r} has no detectors to vote")
+            if not wired(banks[DetectorCategory(name)][0]):
+                raise DataError(
+                    f"alarm category {name!r} has no detectors to vote in mode {self.mode!r}"
+                )
+
+    @property
+    def wires_univariate(self) -> bool:
+        """Whether each feature's grid gets its own detectors."""
+        return self.mode in (UNIVARIATE, BOTH)
+
+    @property
+    def wires_multivariate(self) -> bool:
+        """Whether the per-cell feature rows get detectors; one feature
+        makes no such rows."""
+        return self.mode in (MULTIVARIATE, BOTH) and len(self.features) > 1
 
 
 def _member(kind: type[enum.Enum], name: str, what: str) -> None:

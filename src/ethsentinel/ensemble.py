@@ -20,12 +20,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import clustering, kernels, predictive, reduction
 from .config import (
-    BOTH,
     CLUSTERING_KINDS,
-    MULTIVARIATE,
     PREDICTIVE_KINDS,
     REDUCTION_KINDS,
-    UNIVARIATE,
+    UNIVARIATE_ONLY_KINDS,
     DetectorCategory,
     EngineConfig,
 )
@@ -271,9 +269,7 @@ def _fit_kridge(train, config, seed):
     keep = _subsample_rows(np.arange(len(X))[:, None], config.fit_subsample, seed).ravel()
 
     def fit(rows):
-        return kernels.kernel_ridge_fit(
-            X[rows], y[rows], kernels.KernelSpec(), config.kridge_lambda
-        )
+        return kernels.kernel_ridge_fit(X[rows], y[rows], config.kridge_lambda)
 
     def fit_head(cut):
         head = keep[keep < cut]
@@ -341,7 +337,7 @@ def _score_dbscan(payload, rows):
 def _fit_ocsvm(rows, config, seed):
     train = _subsample_rows(rows, config.boundary_subsample, seed)
     nu = max(config.ocsvm_nu, 1.0 / len(train))
-    return {"model": kernels.one_class_fit(train, kernels.KernelSpec(), nu), "threshold": 0.0}
+    return {"model": kernels.one_class_fit(train, nu), "threshold": 0.0}
 
 
 def _thresholded(model, score, rows, config):
@@ -382,15 +378,14 @@ class DetectorKind:
     kind fits on standardized rows, ``fit(rows, config, seed) ->
     payload``, and scores standardized rows, ``score(payload, rows)``;
     its rows are the windows of ``window(config)`` cells of each feature
-    and, with ``multi``, of the per-cell feature rows. The functions
-    look library code up when called, so a wrapper set on a module
-    attribute sees every call.
+    and, unless ``config.UNIVARIATE_ONLY_KINDS`` names it, of the
+    per-cell feature rows. The functions look library code up when
+    called, so a wrapper set on a module attribute sees every call.
     """
 
     fit: Callable
     score: Callable
     window: Callable[[EngineConfig], int] = lambda c: c.window_duration // c.grid_step
-    multi: bool = True
 
 
 DETECTOR_KINDS = {
@@ -416,12 +411,10 @@ DETECTOR_KINDS = {
     "iforest": DetectorKind(
         _fit_iforest, lambda p, rows: reduction.iforest_score(p["model"], rows)
     ),
-    # the autoencoder is wired univariate, on its own window length
     "ae": DetectorKind(
         _fit_ae,
         lambda p, rows: reduction.ae_score(p["model"], rows),
         window=lambda config: config.ae_window,
-        multi=False,
     ),
     "kmeans": DetectorKind(_fit_kmeans, lambda p, rows: clustering.kmeans_score(p["model"], rows)),
     "dbscan": DetectorKind(_fit_dbscan, _score_dbscan),
@@ -508,10 +501,8 @@ def fit_bank(
             add(kind, group, lambda seed: fit_windows(kind, matrices[w], w, seed))
 
     row_kinds = (*config.clustering_detectors, *config.reduction_detectors)
-    univariate = config.mode in (UNIVARIATE, BOTH)
-    multivariate = config.mode in (MULTIVARIATE, BOTH)
 
-    if univariate:
+    if config.wires_univariate:
         for name, grid in grids.items():
             values = grid.values
             train = values if predictive_train_cells is None else values[:predictive_train_cells]
@@ -519,9 +510,9 @@ def fit_bank(
                 add(kind, name, lambda seed: _fit_predictive(kind, train, config, seed))
             fit_row_kinds(name, values, row_kinds)
 
-    if multivariate and len(config.features) > 1:
+    if config.wires_multivariate:
         rows = np.column_stack([grids[name].values for name in config.features])
-        multi_kinds = [kind for kind in row_kinds if DETECTOR_KINDS[kind].multi]
+        multi_kinds = [kind for kind in row_kinds if kind not in UNIVARIATE_ONLY_KINDS]
         fit_row_kinds(MULTI_GROUP, rows, multi_kinds)
     return detectors, warnings
 
@@ -674,12 +665,6 @@ def detect_batch(
     """Batch detection: 70/30 chronological split for the predictive
     bank, everything else fits and scores the full span. Returns the
     grids with the report, whose records follow the grids' timeline."""
-    if not (
-        config.predictive_detectors
-        or config.reduction_detectors
-        or config.clustering_detectors
-    ):
-        raise DataError("config enables no detectors")
     if not transactions:
         raise DataError("no transactions to analyze")
     grids = build_grids(transactions, config)

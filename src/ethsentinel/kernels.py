@@ -1,13 +1,15 @@
 """Kernel matrices, kernel ridge regression and the nu-one-class kernel
 machine behind the OCSVM detector. The kernel is RBF only: no detector
-uses another. ``sq_dists`` is the package's one pairwise squared-distance
-helper, and
-``by_row_blocks`` builds a (rows x reference) matrix a block of rows at
-a time, so that no distance matrix grows with the square of a series.
+uses another, so a kernel is its gamma. The kernel functions take it as
+a float; the fits take an optional one, by default 1/(d * var)
+(``resolve_gamma``). ``sq_dists`` is the package's one pairwise
+squared-distance helper, and ``by_row_blocks`` builds a (rows x
+reference) matrix a block of rows at a time, so that no distance matrix
+grows with the square of a series. Scores take an (n, d) row matrix.
 
 The one-class dual (minimize 0.5*a'Ga s.t. 0 <= a_i <= 1/(nu*n),
 sum a = 1) is solved by most-violating-pair coordinate descent
-(``_hot.smo_solve``).
+(``smo_solve``).
 """
 
 from __future__ import annotations
@@ -18,10 +20,9 @@ import numpy as np
 
 from .errors import DataError, NumericError
 
-from ._hot import smo_solve
-
 SMO_TOLERANCE = 1e-4
 SMO_MAX_ITER = 100_000
+_EPS = 1e-12
 
 _ROW_BLOCK = 512
 
@@ -29,21 +30,14 @@ _ROW_BLOCK = 512
 _STEP_ENTRIES = 1 << 20
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """An RBF kernel exp(-gamma * |x - y|^2)."""
-
-    gamma: float | None = None  # None: 1/(d * mean column variance) at fit
-
-    def __post_init__(self):
-        if self.gamma is not None and self.gamma <= 0:
+def resolve_gamma(X: np.ndarray, gamma: float | None = None) -> float:
+    """The gamma of the RBF kernel exp(-gamma * |x - y|^2): a given one,
+    which must be positive, or by default 1/(d * var), var the mean
+    per-column variance of X."""
+    if gamma is not None:
+        if gamma <= 0:
             raise DataError("RBF gamma must be positive")
-
-
-def resolve_gamma(spec: KernelSpec, X: np.ndarray) -> float:
-    """Default gamma 1/(d * var), var the mean per-column variance."""
-    if spec.gamma is not None:
-        return spec.gamma
+        return gamma
     X = np.atleast_2d(X)
     var = float(np.mean(np.var(X, axis=0)))
     if var <= 0:
@@ -84,32 +78,26 @@ def by_row_blocks(fn, A: np.ndarray) -> np.ndarray:
 
 
 def kernel_matrix(
-    spec: KernelSpec,
-    X: np.ndarray,
-    Y: np.ndarray,
-    gamma: float | None = None,
-    Y_sq: np.ndarray | None = None,
+    X: np.ndarray, Y: np.ndarray, gamma: float, Y_sq: np.ndarray | None = None
 ) -> np.ndarray:
-    """Cross-kernel matrix K_ij = k(X_i, Y_j), built in the buffer of
-    the distances; ``Y_sq``, the squared row norms of a fixed Y, goes to
-    ``sq_dists``."""
+    """Cross-kernel matrix K_ij = exp(-gamma * |X_i - Y_j|^2), built in
+    the buffer of the distances; ``Y_sq``, the squared row norms of a
+    fixed Y, goes to ``sq_dists``."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     if X.shape[1] != Y.shape[1]:
         raise DataError("kernel arguments must share a dimension")
-    if gamma is None:
-        gamma = spec.gamma if spec.gamma is not None else 1.0 / X.shape[1]
     K = sq_dists(X, Y, Y_sq)
     K *= -gamma
     return np.exp(K, out=K)
 
 
-def gram(spec: KernelSpec, X: np.ndarray, gamma: float | None = None) -> np.ndarray:
+def gram(X: np.ndarray, gamma: float) -> np.ndarray:
     """Symmetric Gram matrix; symmetry is enforced exactly, in place, a
     step of rows at a time: entry (i, j) with i, j >= lo becomes the
     mean of (i, j) and (j, i) in both triangles, and no step reads an
     entry that an earlier step wrote."""
-    G = kernel_matrix(spec, X, X, gamma=gamma)
+    G = kernel_matrix(X, X, gamma)
     n = len(G)
     step = max(1, _STEP_ENTRIES // n)
     for lo in range(0, n, step):
@@ -129,37 +117,32 @@ class KernelRidge:
     X: np.ndarray = field(repr=False)
     X_sq: np.ndarray = field(repr=False)  # squared row norms of X
     dual_weights: np.ndarray = field(repr=False)
-    spec: KernelSpec
     gamma: float
-    lam: float
 
 
-def kernel_ridge_fit(X: np.ndarray, y: np.ndarray, spec: KernelSpec, lam: float) -> KernelRidge:
+def kernel_ridge_fit(
+    X: np.ndarray, y: np.ndarray, lam: float, gamma: float | None = None
+) -> KernelRidge:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
     if len(X) != len(y) or len(X) < 1:
         raise DataError("need matching, non-empty X and y")
     if lam <= 0:
         raise DataError("ridge penalty must be positive")
-    gamma = resolve_gamma(spec, X)
-    G = gram(spec, X, gamma=gamma)
+    gamma = resolve_gamma(X, gamma)
+    G = gram(X, gamma)
     try:
         weights = np.linalg.solve(G + lam * np.eye(len(X)), y)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"ridge system could not be solved: {exc}") from exc
     if not np.all(np.isfinite(weights)):
         raise NumericError("non-finite dual weights in kernel ridge fit")
-    return KernelRidge(
-        X=X, X_sq=np.sum(X * X, axis=1), dual_weights=weights, spec=spec, gamma=gamma, lam=lam
-    )
+    return KernelRidge(X=X, X_sq=np.sum(X * X, axis=1), dual_weights=weights, gamma=gamma)
 
 
-def kernel_ridge_predict(model: KernelRidge, x: np.ndarray) -> np.ndarray | float:
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    K = kernel_matrix(model.spec, np.atleast_2d(x), model.X, model.gamma, model.X_sq)
-    pred = K @ model.dual_weights
-    return float(pred[0]) if single else pred
+def kernel_ridge_predict(model: KernelRidge, X: np.ndarray) -> np.ndarray:
+    """Predictions for the rows of an (n, d) matrix."""
+    return kernel_matrix(X, model.X, model.gamma, model.X_sq) @ model.dual_weights
 
 
 @dataclass(frozen=True)
@@ -170,9 +153,7 @@ class OneClassModel:
     support_sq: np.ndarray = field(repr=False)  # squared row norms of the support vectors
     alphas: np.ndarray = field(repr=False)
     rho: float
-    spec: KernelSpec
     gamma: float
-    nu: float
     converged: bool
     iterations: int
 
@@ -187,15 +168,49 @@ def _initial_alphas(n: int, C: float) -> np.ndarray:
     return a
 
 
-def one_class_fit(X: np.ndarray, spec: KernelSpec, nu: float) -> OneClassModel:
+def smo_solve(G, a, C, tol, max_iter):
+    """Minimize 0.5 a'Ga s.t. 0 <= a_i <= C, sum(a) = 1, in place on ``a``.
+
+    Returns (iterations, converged).
+    """
+    G = np.asarray(G, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    g = G @ a
+    it = 0
+    converged = False
+    while it < max_iter:
+        gi = np.where(a < C - _EPS, g, np.inf)
+        gj = np.where(a > _EPS, g, -np.inf)
+        if not np.isfinite(gi).any() or not np.isfinite(gj).any():
+            converged = True  # every alpha pinned to a bound: vertex optimum
+            break
+        i = int(np.argmin(gi))
+        j = int(np.argmax(gj))
+        violation = g[j] - g[i]
+        if violation < tol:
+            converged = True
+            break
+        eta = G[i, i] + G[j, j] - 2.0 * G[i, j]
+        if eta < _EPS:
+            eta = _EPS
+        t = violation / eta
+        t = min(t, C - a[i], a[j])
+        a[i] += t
+        a[j] -= t
+        g += t * (G[:, i] - G[:, j])
+        it += 1
+    return it, converged
+
+
+def one_class_fit(X: np.ndarray, nu: float, gamma: float | None = None) -> OneClassModel:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     n = len(X)
     if n < 2:
         raise DataError("one-class fit needs at least 2 points")
     if not (1.0 / n <= nu <= 1.0):
         raise DataError("nu must lie in [1/n, 1]")
-    gamma = resolve_gamma(spec, X)
-    G = gram(spec, X, gamma=gamma)
+    gamma = resolve_gamma(X, gamma)
+    G = gram(X, gamma)
     C = 1.0 / (nu * n)
     a = _initial_alphas(n, C)
     iters, converged = smo_solve(np.ascontiguousarray(G), a, C, SMO_TOLERANCE, SMO_MAX_ITER)
@@ -214,24 +229,18 @@ def one_class_fit(X: np.ndarray, spec: KernelSpec, nu: float) -> OneClassModel:
         support_sq=np.sum(X * X, axis=1),
         alphas=a,
         rho=rho,
-        spec=spec,
         gamma=gamma,
-        nu=nu,
         converged=converged,
         iterations=iters,
     )
 
 
-def one_class_decision(model: OneClassModel, x: np.ndarray) -> np.ndarray | float:
-    """Sum_i a_i k(sv_i, x) - rho; negative flags an anomaly."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
+def one_class_decision(model: OneClassModel, X: np.ndarray) -> np.ndarray:
+    """Sum_i a_i k(sv_i, x) - rho for each row x of an (n, d) matrix;
+    negative flags an anomaly."""
 
     def decide(block, lo):
-        K = kernel_matrix(
-            model.spec, block, model.support_vectors, model.gamma, model.support_sq
-        )
+        K = kernel_matrix(block, model.support_vectors, model.gamma, model.support_sq)
         return K @ model.alphas - model.rho
 
-    dec = by_row_blocks(decide, np.atleast_2d(x))
-    return float(dec[0]) if single else dec
+    return by_row_blocks(decide, np.asarray(X, dtype=np.float64))

@@ -11,6 +11,15 @@ The long AR, with m = P*s lags for SARIMA, solves its normal
 equations by one Cholesky factor of a Gram built from shifted sums of
 the series, without its lag design; ``lstsq`` stays for a nearly
 rank-deficient long AR and for the small second-stage regression.
+
+A fitted model keeps its coefficients in one array, in
+``_split_params`` order: the intercept c, then phi, Phi, theta, Theta.
+The CSS residual recursion (``css_residuals``) sums the AR part of every
+prediction as whole numpy arrays and runs only the MA recursion, the
+part that feeds on its own residuals, as a loop over Python floats; a
+5760-cell SARIMA pass takes under 2 ms instead of the 14-17 ms of a loop
+over numpy scalars. The residuals are bit-identical to that loop's
+(``tests/oracles.py`` keeps it as ``naive_css_residuals``).
 """
 
 from __future__ import annotations
@@ -21,7 +30,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._hot import css_residuals
 from .errors import DataError, FitError, NumericError
 from .series import rms
 
@@ -56,25 +64,24 @@ class ArimaOrder:
 
 @dataclass(frozen=True)
 class ArimaModel:
+    """A fitted (S)ARIMA model; ``params`` holds its coefficients in
+    ``_split_params`` order."""
+
     order: ArimaOrder
-    phi: np.ndarray
-    theta: np.ndarray
-    seasonal_phi: np.ndarray
-    seasonal_theta: np.ndarray
-    intercept: float
+    params: np.ndarray
     residual_rms: float
 
     def __post_init__(self):
-        P = Q = 0
-        if self.order.seasonal is not None:
-            P, _, Q, _ = self.order.seasonal
-        if (
-            len(self.phi) != self.order.p
-            or len(self.theta) != self.order.q
-            or len(self.seasonal_phi) != P
-            or len(self.seasonal_theta) != Q
-        ):
-            raise DataError("coefficient lengths do not match the order")
+        if len(self.params) != 1 + self.order.param_count:
+            raise DataError("coefficient count does not match the order")
+
+    @property
+    def phi(self) -> np.ndarray:
+        return _split_params(self.order, self.params)[1]
+
+    @property
+    def theta(self) -> np.ndarray:
+        return _split_params(self.order, self.params)[3]
 
     @property
     def recursion_contracts(self) -> bool:
@@ -83,7 +90,8 @@ class ArimaModel:
         sufficient condition for invertibility; Box & Jenkins 1970).
         Otherwise a recursion run on without restarts can grow without
         bound."""
-        return float(np.abs(self.theta).sum() + np.abs(self.seasonal_theta).sum()) < 1.0
+        _, _, _, theta, stheta, _ = _split_params(self.order, self.params)
+        return float(np.abs(theta).sum() + np.abs(stheta).sum()) < 1.0
 
 
 @dataclass(frozen=True)
@@ -124,6 +132,8 @@ def _recursion_start(order: ArimaOrder) -> int:
 
 
 def _split_params(order: ArimaOrder, params: np.ndarray):
+    """(c, phi, Phi, theta, Theta, s) of a model's parameter array: the
+    one place that knows its layout. The slices are views."""
     p, q = order.p, order.q
     P = Q = 0
     s = 1
@@ -135,6 +145,69 @@ def _split_params(order: ArimaOrder, params: np.ndarray):
     theta = np.ascontiguousarray(params[1 + p + P : 1 + p + P + q])
     stheta = np.ascontiguousarray(params[1 + p + P + q :])
     return c, phi, sphi, theta, stheta, s
+
+
+def css_residuals(w, c, phi, sphi, theta, stheta, s, start, history=None):
+    """One-step ARMA residuals e_t = w_t - prediction for t >= start.
+
+    prediction = c + sum phi_i w_{t-i} + sum sphi_j w_{t-js}
+                   - sum theta_i e_{t-i} - sum stheta_j e_{t-js}
+
+    The first ``start`` residuals are ``history``, the residuals a
+    recursion ended with, so that the recursion continues from them; by
+    default they are zeros (burn-in). ``start`` is at least the largest
+    lag.
+
+    The terms are summed in the order above. Those that read no residual
+    computed here are whole-array operations: the AR part, and the MA
+    terms ahead of the first whose lag is shorter than the span [start,
+    n), which read only ``history``. The rest of the MA recursion runs
+    cell by cell over Python floats, which round as numpy's float64
+    scalars do: every residual is the one a scalar loop over the whole
+    sum gives, bit for bit.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    n = len(w)
+    e = np.zeros(n)
+    if history is not None:
+        e[:start] = history
+    ar = [(phi[i], i + 1) for i in range(len(phi))]
+    ar += [(sphi[j], (j + 1) * s) for j in range(len(sphi))]
+    ma = [(float(theta[i]), i + 1) for i in range(len(theta))]
+    ma += [(float(stheta[j]), (j + 1) * s) for j in range(len(stheta))]
+    if any(lag > start for _, lag in ar + ma):
+        raise ValueError("the recursion must start at or after its largest lag")
+    pred = np.full(n - start, c, dtype=np.float64)
+    for coef, lag in ar:
+        pred += coef * w[start - lag : n - lag]
+    while ma and ma[0][1] >= n - start:
+        coef, lag = ma.pop(0)
+        pred -= coef * e[start - lag : n - lag]
+    if not ma:
+        e[start:] = w[start:] - pred
+        return e
+    # ``past[-lag]`` is e_{t-lag} once e_{t-1} is appended. Of the
+    # residuals before ``start``, only those some lag reaches are read
+    # and converted; the other places hold a zero that no lag reads.
+    depth = max(lag for _, lag in ma)
+    past = [0.0] * depth
+    for _, lag in ma:
+        reach = min(lag, n - start)
+        past[depth - lag : depth - lag + reach] = e[start - lag : start - lag + reach].tolist()
+    append = past.append
+    if len(ma) == 2:
+        # the engine's SARIMA shape (theta, stheta), spelled out: an
+        # inner loop would cost a third of a full pass
+        (a, i), (b, j) = ma
+        for wt, pt in zip(w[start:].tolist(), pred.tolist()):
+            append(wt - (pt - a * past[-i] - b * past[-j]))
+    else:
+        for wt, pt in zip(w[start:].tolist(), pred.tolist()):
+            for coef, lag in ma:
+                pt -= coef * past[-lag]
+            append(wt - pt)
+    e[start:] = past[depth:]
+    return e
 
 
 def _css_residuals(
@@ -354,33 +427,8 @@ def arima_fit(values: np.ndarray, order: ArimaOrder) -> ArimaModel:
     params = _gauss_newton_pass(w, order, params)
     if not np.all(np.isfinite(params)):
         raise NumericError("non-finite coefficients after refinement")
-    start = _recursion_start(order)
-    residuals = _css_residuals(w, order, params)[start:]
-    p, q = order.p, order.q
-    P = Q = 0
-    if order.seasonal is not None:
-        P, _, Q, _ = order.seasonal
-    return ArimaModel(
-        order=order,
-        phi=params[1 : 1 + p],
-        seasonal_phi=params[1 + p : 1 + p + P],
-        theta=params[1 + p + P : 1 + p + P + q],
-        seasonal_theta=params[1 + p + P + q :],
-        intercept=float(params[0]),
-        residual_rms=rms(residuals) if len(residuals) else 0.0,
-    )
-
-
-def _model_params(model: ArimaModel) -> np.ndarray:
-    return np.concatenate(
-        (
-            [model.intercept],
-            model.phi,
-            model.seasonal_phi,
-            model.theta,
-            model.seasonal_theta,
-        )
-    )
+    residuals = _css_residuals(w, order, params)[_recursion_start(order) :]
+    return ArimaModel(order, params, rms(residuals) if len(residuals) else 0.0)
 
 
 def arima_residuals(
@@ -400,7 +448,7 @@ def arima_residuals(
     """
     values = np.asarray(values, dtype=np.float64)
     order = model.order
-    params = _model_params(model)
+    params = model.params
     burn_in = _recursion_start(order)
     lag = order.d + (order.seasonal[1] * order.seasonal[3] if order.seasonal else 0)
     if carry is not None and lag <= start < len(values):

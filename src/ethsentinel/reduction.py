@@ -80,7 +80,6 @@ class PcaModel:
     mean: np.ndarray
     components: np.ndarray = field(repr=False)  # orthonormal rows
     eigenvalues: np.ndarray
-    explained_fraction: float
 
 
 def pca_fit(X: np.ndarray, explained: float = 0.90) -> PcaModel:
@@ -105,23 +104,16 @@ def pca_fit(X: np.ndarray, explained: float = 0.90) -> PcaModel:
         mass = np.cumsum(eigenvalues) / total
         m = int(np.searchsorted(mass, explained - 1e-12) + 1)
         m = min(m, len(eigenvalues))
-    return PcaModel(
-        mean=mean,
-        components=vectors[:, :m].T.copy(),
-        eigenvalues=eigenvalues,
-        explained_fraction=explained,
-    )
+    return PcaModel(mean=mean, components=vectors[:, :m].T.copy(), eigenvalues=eigenvalues)
 
 
-def pca_score(model: PcaModel, x: np.ndarray) -> np.ndarray | float:
-    """Distance from a point to its projection onto the kept subspace."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    centered = np.atleast_2d(x) - model.mean
+def pca_score(model: PcaModel, X: np.ndarray) -> np.ndarray:
+    """Distance from each row of an (n, d) matrix to its projection onto
+    the kept subspace."""
+    centered = np.asarray(X, dtype=np.float64) - model.mean
     proj = centered @ model.components.T
     recon = proj @ model.components
-    err = np.sqrt(np.sum((centered - recon) ** 2, axis=1))
-    return float(err[0]) if single else err
+    return np.sqrt(np.sum((centered - recon) ** 2, axis=1))
 
 
 @lru_cache(maxsize=None)
@@ -154,7 +146,6 @@ class IsolationForest:
     depth_limit: int
     subsample_size: int
     tree_count: int
-    seed: int
 
 
 def _grow_iso(X: np.ndarray, depth: int, limit: int, rng: np.random.Generator, nodes: list) -> int:
@@ -211,15 +202,13 @@ def iforest_fit(
         depth_limit=limit,
         subsample_size=subsample_size,
         tree_count=tree_count,
-        seed=seed,
     )
 
 
-def iforest_score(forest: IsolationForest, x: np.ndarray) -> np.ndarray | float:
-    """Anomaly score 2^(-E[h(x)] / c(subsample)); higher is more anomalous."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    X = np.atleast_2d(x)
+def iforest_score(forest: IsolationForest, X: np.ndarray) -> np.ndarray:
+    """Anomaly score 2^(-E[h(x)] / c(subsample)) of each row x of an
+    (n, d) matrix; higher is more anomalous."""
+    X = np.asarray(X, dtype=np.float64)
     rows, width = X.shape
     values = X.ravel()
     # one entry per (tree, row), trees outer: every tree and row moves
@@ -234,8 +223,7 @@ def iforest_score(forest: IsolationForest, x: np.ndarray) -> np.ndarray | float:
     # a running total, tree by tree in order: np.sum may add pairwise,
     # and the order sets the rounding of the mean
     mean_path = np.cumsum(paths, axis=0)[-1] / forest.tree_count
-    scores = 2.0 ** (-mean_path / average_path_length(forest.subsample_size))
-    return float(scores[0]) if single else scores
+    return 2.0 ** (-mean_path / average_path_length(forest.subsample_size))
 
 
 @dataclass(frozen=True)
@@ -323,14 +311,12 @@ def ae_train(
     )
 
 
-def ae_score(model: AutoencoderModel, window: np.ndarray) -> np.ndarray | float:
-    """Mean squared reconstruction error of a window."""
-    x = np.asarray(window, dtype=np.float64)
-    single = x.ndim == 1
-    X = np.atleast_2d(x)
+def ae_score(model: AutoencoderModel, windows: np.ndarray) -> np.ndarray:
+    """Mean squared reconstruction error of each row of an (n, w)
+    matrix of windows."""
+    X = np.asarray(windows, dtype=np.float64)
     _, out = _ae_forward(model.W1, model.b1, model.W2, model.b2, X)
-    err = np.mean((out - X) ** 2, axis=1)
-    return float(err[0]) if single else err
+    return np.mean((out - X) ** 2, axis=1)
 
 
 def score_threshold(train_scores: np.ndarray, multiplier: float = 3.0) -> float:

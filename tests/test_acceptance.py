@@ -31,7 +31,7 @@ from ethsentinel.clustering import DbscanParams, dbscan
 from ethsentinel.config import EngineConfig
 from ethsentinel.ensemble import build_grids, engine_from_grids, run_batch, stream_advance
 from ethsentinel.ingest import parse_explorer_json
-from ethsentinel.kernels import KernelSpec, gram, one_class_decision, one_class_fit
+from ethsentinel.kernels import gram, one_class_decision, one_class_fit
 from ethsentinel.predictive import (
     ArimaOrder,
     arima_fit,
@@ -99,6 +99,7 @@ def harness_stream(seed: int):
     return synth.synth_generate(cfg)
 
 
+@pytest.mark.slow
 def test_criterion_01_synthetic_end_to_end():
     precisions, recalls, runtimes = [], [], []
     for seed in range(20):
@@ -286,7 +287,7 @@ def test_criterion_08_nu_property():
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((200, 2))
         for nu in (0.05, 0.1, 0.2):
-            model = one_class_fit(X, KernelSpec(), nu)
+            model = one_class_fit(X, nu)
             decisions = one_class_decision(model, X)
             fraction = float(np.mean(decisions < 0.0))
             assert fraction <= nu + 2.0 / 200, (seed, nu, fraction)

@@ -161,10 +161,14 @@ def test_exit_codes(workspace, capsys):
     assert run(
         "detect", "batch", "--input", EXPLORER_FIXTURE, "--config", typo, "--out", ws / "r.jsonl"
     ) == 2
-    # a kind listed twice, or an alarm category with no detectors to vote
+    # a kind listed twice, an alarm category with no detectors to vote
+    # (also once mode applies), or a config that wires no detector
     for extra in (
         "predictive_detectors = knn,knn",
         "alarm_categories = clustering\nclustering_detectors =",
+        "alarm_categories = predictive\nmode = multivariate",
+        "alarm_categories = reduction\nreduction_detectors = ae\nmode = multivariate",
+        "mode = multivariate\nfeatures = value",
     ):
         skewed = ws / "skewed.cfg"
         skewed.write_text(SMALL_ENGINE_CFG + extra + "\n", encoding="utf-8")

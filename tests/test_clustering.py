@@ -14,7 +14,7 @@ from ethsentinel.clustering import (
     silhouette_score,
 )
 from ethsentinel.errors import DataError
-from ethsentinel.kernels import KernelSpec, one_class_decision, one_class_fit, sq_dists
+from ethsentinel.kernels import one_class_decision, one_class_fit, sq_dists
 from oracles import (
     NOISE,
     naive_dbscan,
@@ -112,7 +112,7 @@ def test_kmeans_recovers_separated_blobs():
     assert got == {(0, 0), (20, 0), (0, 20)}
     # within-cluster distances are small, far points score big
     assert float(np.max(kmeans_score(model, X))) < 3.0
-    assert kmeans_score(model, np.array([50.0, 50.0])) > 30.0
+    assert kmeans_score(model, np.array([[50.0, 50.0]]))[0] > 30.0
 
 
 def test_kmeans_deterministic_given_seed():
@@ -146,7 +146,7 @@ def test_one_class_flags_far_point():
     rng = np.random.default_rng(7)
     train = rng.standard_normal((150, 2))
     query = np.vstack([train[:10], [[8.0, 8.0]]])
-    model = one_class_fit(train, KernelSpec(), 0.1)
+    model = one_class_fit(train, 0.1)
     decisions = one_class_decision(model, query)
     flags = decisions < 0.0
     assert flags[-1]  # far point flagged

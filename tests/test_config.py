@@ -70,6 +70,18 @@ def test_validation():
         # a category that decides the alarm must have detectors to vote
         {"alarm_categories": ("clustering",), "clustering_detectors": ()},
         {"alarm_categories": ("reduction", "predictive"), "predictive_detectors": ()},
+        # ... also once mode and features are applied: predictive kinds
+        # and the autoencoder fit no multivariate rows
+        {"alarm_categories": ("predictive",), "mode": "multivariate"},
+        {
+            "alarm_categories": ("reduction",),
+            "reduction_detectors": ("ae",),
+            "mode": "multivariate",
+        },
+        # a config must wire some detector
+        {"predictive_detectors": (), "reduction_detectors": (), "clustering_detectors": ()},
+        {"mode": "multivariate", "features": ("value",)},
+        {"mode": "multivariate", "reduction_detectors": ("ae",), "clustering_detectors": ()},
     ):
         with pytest.raises(DataError):
             EngineConfig(**bad)
@@ -81,6 +93,10 @@ def test_validation():
         parse_config_text("arima_order = 1,1")
     assert EngineConfig(alarm_categories=("reduction",), features=("gaslimit",))
     assert EngineConfig(alarm_categories=("reduction",), clustering_detectors=())
+    assert EngineConfig(
+        alarm_categories=("reduction",), reduction_detectors=("ae", "pca"), mode="multivariate"
+    )
+    assert EngineConfig(mode="univariate", features=("value",))
     # zero keeps its meaning where it has one; the boundaries of the ranges hold
     EngineConfig(sarima_period=0, cart_depth=0, kmeans_k=0, seed=0, dbscan_eps=0.0)
     EngineConfig(ocsvm_nu=1.0, residual_multiplier=0.0, train_ratio=0.5, pca_explained=1.0)

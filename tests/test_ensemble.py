@@ -194,11 +194,11 @@ def test_run_batch_deterministic():
 def test_run_batch_rejects_empty_inputs():
     with pytest.raises(DataError):
         run_batch([], small_config())
-    config = EngineConfig(
-        predictive_detectors=(), reduction_detectors=(), clustering_detectors=()
-    )
     txs, _ = small_stream(seed=3)
     with pytest.raises(DataError):
+        config = EngineConfig(
+            predictive_detectors=(), reduction_detectors=(), clustering_detectors=()
+        )
         run_batch(txs, config)
 
 
@@ -491,13 +491,7 @@ def test_non_contracting_model_is_never_carried():
     # theta = 1.04: the residual recursion grows 4% a cell, so residuals
     # carried from tick to tick drift away from those of a restart
     model = predictive.ArimaModel(
-        order=predictive.ArimaOrder(1, 1, 1),
-        phi=np.array([0.2]),
-        theta=np.array([1.04]),
-        seasonal_phi=np.empty(0),
-        seasonal_theta=np.empty(0),
-        intercept=0.0,
-        residual_rms=1.0,
+        predictive.ArimaOrder(1, 1, 1), params=[0.0, 0.2, 1.04], residual_rms=1.0
     )
     assert not model.recursion_contracts
     payload = {"model": model, "rms": 1.0, "threshold": 3.0}

@@ -146,3 +146,6 @@ def test_traced_replay_reaches_every_kind():
     assert tracer.windows_scored > 0
     assert calls["reduction.iforest_score"] > 0
     assert calls["kernels.one_class_decision"] > 0
+    # the two loops behind the benchmark's share metrics
+    assert calls["predictive.css_residuals"] > 0
+    assert calls["kernels.smo_solve"] > 0

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from ethsentinel import synth
-from ethsentinel._hot import css_residuals
 from ethsentinel.config import EngineConfig
 from ethsentinel.ensemble import (
     DetectorCategory,
@@ -34,6 +33,7 @@ from ethsentinel.predictive import (
     arima_predict_in_sample,
     arima_residuals,
     cart_fit,
+    css_residuals,
     cart_predict,
     grid_search_order,
     select_order_aic,
@@ -73,6 +73,16 @@ def test_order_validation():
         ArimaOrder(-1, 0, 0)
     order = ArimaOrder(2, 1, 1)
     assert order.param_count == 3  # 2 AR + 1 MA
+
+
+def test_model_params_must_match_the_order():
+    order = ArimaOrder(1, 0, 1, (1, 0, 1, 4))  # c, phi, Phi, theta, Theta
+    model = ArimaModel(order, np.array([0.5, 0.1, 0.2, 0.3, 0.4]), 1.0)
+    assert model.phi.tolist() == [0.1] and model.theta.tolist() == [0.3]
+    assert model.recursion_contracts  # |0.3| + |0.4| < 1
+    for params in ([0.5, 0.1, 0.2, 0.3], [0.5, 0.1, 0.2, 0.3, 0.4, 0.6], []):
+        with pytest.raises(DataError):
+            ArimaModel(order, np.array(params), 1.0)
 
 
 def test_ar1_noise_free_exact():

@@ -68,8 +68,8 @@ def test_pca_scores_off_plane_points():
     rng = np.random.default_rng(2)
     X = np.column_stack([rng.standard_normal(200), np.zeros(200)])
     model = pca_fit(X, explained=0.9)
-    inlier = pca_score(model, np.array([1.0, 0.0]))
-    outlier = pca_score(model, np.array([0.0, 5.0]))
+    inlier = pca_score(model, np.array([[1.0, 0.0]]))[0]
+    outlier = pca_score(model, np.array([[0.0, 5.0]]))[0]
     assert outlier > inlier
     assert outlier == pytest.approx(5.0, abs=1e-6)
 
@@ -98,7 +98,7 @@ def test_iforest_batch_equals_scalar():
     X = rng.standard_normal((50, 3))
     forest = iforest_fit(X, tree_count=20, subsample_size=32, seed=1)
     batch = iforest_score(forest, X)
-    singles = np.array([iforest_score(forest, x) for x in X])
+    singles = np.array([iforest_score(forest, x[None, :])[0] for x in X])
     assert np.allclose(batch, singles, atol=1e-12)
 
 
@@ -126,8 +126,7 @@ def test_iforest_single_row_and_leaf_root_match_oracle():
     rng = np.random.default_rng(10)
     X = rng.standard_normal((100, 3))
     forest = iforest_fit(X, 20, 32, seed=4)
-    score = iforest_score(forest, X[7])
-    assert isinstance(score, float)
+    score = iforest_score(forest, X[7:8])[0]
     assert score == naive_iforest_score(X, 20, 32, 4, X[7])
     # every subsample is all-identical rows: each root is a leaf
     same = np.ones((40, 3))
@@ -194,7 +193,7 @@ def test_ae_score_is_reconstruction_error():
     windows = rng.standard_normal((40, 6))
     model = ae_train(windows, hidden=2, epochs=50, learning_rate=0.01, seed=0)
     typical = float(np.mean(ae_score(model, windows)))
-    weird = float(ae_score(model, 10.0 * np.ones(6)))
+    weird = float(ae_score(model, 10.0 * np.ones((1, 6)))[0])
     assert weird > typical
 
 
