@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .kernels import sq_dists
+from .kernels import by_row_blocks, nearest, sq_dists
 
 NOISE = -1
 
@@ -183,15 +183,22 @@ def dbscan(X: np.ndarray, params: DbscanParams) -> np.ndarray:
 
 def estimate_eps(X: np.ndarray, k: int) -> float:
     """0.95 quantile of k-th nearest-neighbor distances (k-distance
-    elbow heuristic in deterministic quantile form)."""
+    elbow heuristic in deterministic quantile form), where a row is its
+    own first neighbour. Each distinct row is measured once, against the
+    distinct rows, and every row counts as many times as it occurs, so
+    a matrix of repeated rows costs what its distinct rows cost."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    n = len(X)
-    if n <= k:
+    if len(X) <= k:
         raise DataError("need more rows than k")
-    # column 0 is the point itself; the square root is monotone, so it
-    # is taken of the k-th squared distance only
-    sq = sq_dists(X, X)
-    sq.partition(k, axis=1)  # in place: one n-square matrix at the peak
-    kth = np.sqrt(sq[:, k])
-    return float(np.quantile(kth, 0.95))
+    distinct, counts = np.unique(X, axis=0, return_counts=True)
+    distinct_sq = np.sum(distinct * distinct, axis=1)
 
+    def kth_distance(block, lo):
+        # the (k+1)-th smallest squared distance, copies counted: the
+        # k + 1 nearest distinct rows hold at least k + 1 rows
+        idx, near = nearest(sq_dists(block, distinct, distinct_sq), min(k + 1, len(distinct)))
+        return near[np.arange(len(near)), (counts[idx].cumsum(axis=1) <= k).sum(axis=1)]
+
+    # the square root is monotone, so it is taken of the k-th squared distance only
+    kth = np.sqrt(by_row_blocks(kth_distance, distinct))
+    return float(np.quantile(np.repeat(kth, counts), 0.95))

@@ -201,11 +201,83 @@ def _score_stl(payload, values, start, state):
     return start, np.abs(predictive.stl_decompose(values, period, average).residual[start:])
 
 
-def _knn_mean_targets(sq_dists: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
-    """Mean target of the k nearest rows (partial sort; the mean does
-    not depend on the order within the selected neighbors)."""
-    nearest = np.argpartition(sq_dists, k - 1, axis=1)[:, :k]
-    return y[nearest].mean(axis=1)
+def _knn_nearest(dist, counts, k, own=None):
+    """The contexts that hold the k nearest pairs of each query row, as
+    (indices, weights) in ascending (distance, context) order. A context
+    nearer than the k-th pair weighs 1; the contexts at its distance
+    share the remaining places in proportion to their pair counts, which
+    is the expected take under random tie-breaking; padding weighs 0.
+
+    ``dist`` holds the squared distances to the contexts, whose pair
+    counts are ``counts``. In the fit, ``own`` is each query's own
+    context, which the caller puts at distance 0 and which has lost one
+    pair.
+    """
+    # the contexts up to the k-th pair, and one more to see whether its tie goes on
+    width = k + 1 + (own is not None)
+    while True:
+        idx, near = kernels.nearest(dist, min(width, dist.shape[1]))
+        c = counts[idx]
+        if own is not None:
+            c -= idx == own[:, None]
+        kth = near[np.arange(len(near)), (c.cumsum(axis=1) < k).sum(axis=1), None]
+        kept = near <= kth
+        spill = kept[:, -1]
+        if width >= dist.shape[1] or not spill.any():
+            break
+        # contexts tied at the k-th distance lie beyond the selection
+        width = int((dist[spill] <= kth[spill]).sum(axis=1).max()) + 1
+    nearer = near < kth
+    taken = (c * nearer).sum(axis=1)
+    share = (k - taken) / ((c * kept).sum(axis=1) - taken)
+    return idx, np.where(nearer, 1.0, np.where(kept, share[:, None], 0.0))
+
+
+def _knn_forecast(sums: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
+    """The weighted target sums of the selected contexts, added one
+    context at a time in column order, over k."""
+    return (sums * weights).cumsum(axis=1)[:, -1] / k
+
+
+def _knn_fit_pairs(X: np.ndarray, y: np.ndarray, k: int) -> tuple[dict, np.ndarray]:
+    """The kNN payload of the lag pairs (X, y), and each pair's
+    leave-self-out forecast. The payload holds the distinct lag
+    ``contexts`` with their squared norms, the ``counts`` of pairs that
+    share each one and the ``sums`` of their targets. The queries are
+    the contexts, so the fit costs the square of the distinct contexts,
+    not of the pairs, and each pair's forecast is its context's with
+    the pair left out."""
+    contexts, inverse, counts = np.unique(X, axis=0, return_inverse=True, return_counts=True)
+    inverse = inverse.reshape(-1)  # its shape under ``axis`` differs across numpy 2.x releases
+    contexts_sq = np.sum(contexts * contexts, axis=1)
+    sums = np.bincount(inverse, weights=y, minlength=len(contexts))
+    # the pairs grouped by context: a block of contexts forecasts a run of them
+    by_context = np.argsort(inverse, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(counts)))
+
+    def predict(block, lo):
+        # leave-self-out, else in-sample RMS degenerates to 0: a pair's
+        # own context, at distance 0, loses the pair and its target
+        own = np.arange(lo, lo + len(block))
+        dist = kernels.sq_dists(block, contexts, contexts_sq)
+        dist[own - lo, own] = 0.0
+        idx, weights = _knn_nearest(dist, counts, k, own)
+        pairs = by_context[bounds[lo] : bounds[lo + len(block)]]
+        rows = inverse[pairs] - lo
+        idx = idx[rows]
+        held = sums[idx]
+        held[idx == inverse[pairs, None]] -= y[pairs]
+        return _knn_forecast(held, weights[rows], k)
+
+    preds = np.empty(len(y))
+    preds[by_context] = kernels.by_row_blocks(predict, contexts)
+    return {
+        "contexts": contexts,
+        "contexts_sq": contexts_sq,
+        "counts": counts,
+        "sums": sums,
+        "k": k,
+    }, preds
 
 
 def _fit_knn(train, config, seed):
@@ -213,23 +285,15 @@ def _fit_knn(train, config, seed):
     X, y = predictive._lag_pairs(train, lags)
     if k >= len(X):
         raise FitError("not enough training pairs for k-NN")
-    X_sq = np.sum(X * X, axis=1)
-
-    def predict(block, lo):
-        # leave-self-out residuals, else in-sample RMS degenerates to 0
-        dist = kernels.sq_dists(block, X, X_sq)
-        own = np.arange(len(block))
-        dist[own, lo + own] = np.inf
-        return _knn_mean_targets(dist, y, k)
-
-    preds = kernels.by_row_blocks(predict, X)
-    return {"X": X, "X_sq": X_sq, "y": y, "lags": lags, "k": k, "rms": rms(y - preds)}
+    payload, preds = _knn_fit_pairs(X, y, k)
+    return payload | {"lags": lags, "rms": rms(y - preds)}
 
 
 def _knn_predictions(payload, contexts):
     def predict(block, lo):
-        dist = kernels.sq_dists(block, payload["X"], payload["X_sq"])
-        return _knn_mean_targets(dist, payload["y"], payload["k"])
+        dist = kernels.sq_dists(block, payload["contexts"], payload["contexts_sq"])
+        idx, weights = _knn_nearest(dist, payload["counts"], payload["k"])
+        return _knn_forecast(payload["sums"][idx], weights, payload["k"])
 
     return kernels.by_row_blocks(predict, contexts)
 
@@ -315,9 +379,11 @@ def _fit_dbscan(rows, config, seed):
         )
     if eps <= 0.0:
         eps = 1e-9
+    reference, counts = np.unique(reference, axis=0, return_counts=True)
     return {
         "reference": reference,
         "reference_sq": np.sum(reference * reference, axis=1),
+        "counts": counts,
         "eps": eps,
         "min_pts": config.dbscan_min_pts,
         "threshold": 0,
@@ -326,10 +392,16 @@ def _fit_dbscan(rows, config, seed):
 
 def _score_dbscan(payload, rows):
     # density rule against the reference database: a row is noise when
-    # it lacks neighbours within eps (itself included) to reach min_pts
+    # it lacks neighbours within eps (itself included) to reach min_pts.
+    # The reference rows are distinct: each counts once, and a repeated
+    # one adds its further copies
+    counts = payload["counts"]
+    repeated = np.flatnonzero(counts > 1)
+
     def neighbours(block, lo):
         sq = kernels.sq_dists(block, payload["reference"], payload["reference_sq"])
-        return np.sum(sq <= payload["eps"] ** 2, axis=1)
+        within = sq <= payload["eps"] ** 2
+        return within.sum(axis=1) + within[:, repeated] @ (counts[repeated] - 1)
 
     return payload["min_pts"] - 1 - kernels.by_row_blocks(neighbours, rows)
 

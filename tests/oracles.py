@@ -145,16 +145,47 @@ def naive_iforest_score(X, tree_count, subsample_size, seed, x):
 
 
 def naive_knn_loo_predictions(train, lags, k):
-    """Reference leave-self-out k-NN forecasts: the whole (pairs x
-    pairs) distance matrix with its diagonal set to +inf."""
-    from ethsentinel.ensemble import _knn_mean_targets
+    """Reference leave-self-out k-NN forecasts under the tie-averaged
+    rule, from the whole (pairs x pairs) distance matrix, one pair at a
+    time. Pairs with equal lag contexts form one context, at distance 0
+    from each other. Without the pair itself, the contexts nearer than
+    the k-th nearest pair count whole, and those at its distance share
+    the remaining places in proportion to their pair counts. The target
+    sums are added one context at a time, in ascending (distance,
+    context) order, and divided by k."""
     from ethsentinel.kernels import sq_dists
     from ethsentinel.predictive import _lag_pairs
 
     X, y = _lag_pairs(train, lags)
+    contexts, context = np.unique(X, axis=0, return_inverse=True)
+    context = context.reshape(-1)
+    m = len(contexts)
+    counts = np.zeros(m, dtype=np.int64)
+    sums = np.zeros(m)
+    for j, c in enumerate(context):
+        counts[c] += 1
+        sums[c] += y[j]
     dist = sq_dists(X, X)
-    np.fill_diagonal(dist, np.inf)
-    return y, _knn_mean_targets(dist, y, k)
+    preds = np.empty(len(y))
+    for i, own in enumerate(context):
+        gap = np.empty(m)
+        gap[context] = dist[i]
+        gap[own] = 0.0
+        count = counts.copy()
+        count[own] -= 1
+        total = sums.copy()
+        total[own] -= y[i]
+        order = np.lexsort((np.arange(m), gap))
+        kth = gap[order][np.argmax(np.cumsum(count[order]) >= k)]
+        nearer = count[gap < kth].sum()
+        share = (k - nearer) / count[gap == kth].sum()
+        acc = 0.0
+        for c in order:
+            if gap[c] > kth:
+                break
+            acc += total[c] * (1.0 if gap[c] < kth else share)
+        preds[i] = acc / k
+    return y, preds
 
 
 def naive_best_split(X, y, min_leaf):

@@ -73,6 +73,17 @@ def test_estimate_eps_equals_the_copying_partition(n):
     assert estimate_eps(X, 4) == naive_estimate_eps(X, 4)
 
 
+@pytest.mark.parametrize("k", [1, 3, 10])
+def test_estimate_eps_on_repeated_rows_equals_the_copying_partition(k):
+    # the windows of a mostly-zero series: most rows are all zeros, and
+    # each distinct row stands for its copies
+    rng = np.random.default_rng(k)
+    values = np.where(rng.random(1500) < 0.02, rng.standard_normal(1500), 0.0)
+    X = np.lib.stride_tricks.sliding_window_view(values, 15)
+    assert len(np.unique(X, axis=0)) < len(X) / 2
+    assert estimate_eps(X, k) == naive_estimate_eps(X, k)
+
+
 def test_estimate_eps_holds_one_square_buffer():
     n = 2048
     X = np.random.default_rng(1).standard_normal((n, 15))

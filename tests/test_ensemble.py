@@ -3,6 +3,7 @@ batch detection, and the streaming engine's advance/retrain/evict
 machinery."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from ethsentinel.ensemble import (
 )
 from ethsentinel.errors import DataError, FitError
 from ethsentinel.series import TimeSeries
-from oracles import naive_knn_loo_predictions
+from oracles import naive_knn_loo_predictions, naive_sq_dists, traced_peak
 
 
 def verdict(det_id, cat, flags):
@@ -584,14 +585,116 @@ def test_deep_copied_engine_alarms_like_its_original():
 
 @pytest.mark.parametrize("pairs", [6, 511, 512, 513, 1500])
 def test_knn_fit_matches_whole_matrix_oracle(pairs):
-    # the leave-self-out forecasts, one row block at a time, equal those
-    # of the whole distance matrix with its diagonal set to +inf
+    # the leave-self-out forecasts, one block of distinct contexts at a
+    # time, equal those of the whole (pairs x pairs) distance matrix
     config = EngineConfig()
     train = np.random.default_rng(pairs).standard_normal(pairs + config.knn_lags)
     y, preds = naive_knn_loo_predictions(train, config.knn_lags, config.knn_k)
     payload = ensemble._fit_knn(train, config, seed=0)
-    assert len(payload["y"]) == pairs
+    assert payload["counts"].sum() == pairs
     assert payload["rms"] == ensemble.rms(y - preds)
+
+
+def sparse_series(n, seed, integer=False, rate=0.05):
+    """A mostly-zero series, as the grid of a sparse account: a share
+    ``rate`` of its cells hold a small integer or a normal draw."""
+    rng = np.random.default_rng(seed)
+    active = rng.random(n) < rate
+    draws = rng.integers(1, 4, n) if integer else rng.standard_normal(n)
+    return np.where(active, draws, 0).astype(float)
+
+
+@pytest.mark.parametrize("pairs", [40, 600, 1500])
+def test_knn_fit_matches_whole_matrix_oracle_on_repeated_contexts(pairs):
+    # most lag contexts of a sparse series are all zeros, so most pairs
+    # tie with many others: one context's forecast serves all its pairs
+    config = EngineConfig()
+    train = sparse_series(pairs + config.knn_lags, pairs)
+    y, preds = naive_knn_loo_predictions(train, config.knn_lags, config.knn_k)
+    payload = ensemble._fit_knn(train, config, seed=0)
+    assert len(payload["contexts"]) < pairs / 2
+    assert payload["counts"].sum() == pairs
+    assert payload["rms"] == ensemble.rms(y - preds)
+
+
+def test_knn_forecasts_do_not_depend_on_the_order_of_the_pairs():
+    # integer targets make every context's target sum exact in any
+    # order, so the forecasts must agree to the last bit
+    train = sparse_series(2000, 7, integer=True)
+    X, y = predictive._lag_pairs(train, 5)
+    queries = predictive._lag_pairs(sparse_series(300, 8, integer=True), 5)[0]
+    payload, preds = ensemble._knn_fit_pairs(X, y, 5)
+    perm = np.random.default_rng(0).permutation(len(y))
+    shuffled, shuffled_preds = ensemble._knn_fit_pairs(X[perm], y[perm], 5)
+    assert np.array_equal(shuffled_preds, preds[perm])
+    for key in ("contexts", "counts", "sums"):
+        assert np.array_equal(shuffled[key], payload[key])
+    assert np.array_equal(
+        ensemble._knn_predictions(shuffled, queries), ensemble._knn_predictions(payload, queries)
+    )
+
+
+def test_knn_fit_holds_no_index_array_beside_its_distance_block():
+    # a dense 4-day series, where every lag context is distinct: a
+    # 512-row block of distances with an index array of its size beside
+    # it peaked at twice the block
+    config = EngineConfig()
+    train = np.random.default_rng(0).standard_normal(5760)
+    block = 512 * (len(train) - config.knn_lags) * 8
+    assert traced_peak(lambda: ensemble._fit_knn(train, config, seed=0)) < 1.5 * block
+
+
+def test_dbscan_score_counts_the_whole_reference_subsample():
+    # a mostly-zero window matrix beyond the reference cap: the distinct
+    # reference rows with their copies count as the subsample itself
+    config = EngineConfig()
+    values = sparse_series(3000 + 14, 3, rate=0.02)
+    rows = np.lib.stride_tricks.sliding_window_view(values, 15)
+    payload = ensemble._fit_dbscan(rows, config, seed=11)
+    reference = ensemble._subsample_rows(rows, config.boundary_subsample, 11)
+    assert len(payload["reference"]) < len(reference) / 2
+    assert payload["counts"].sum() == len(reference)
+    within = naive_sq_dists(rows, reference) <= payload["eps"] ** 2
+    expected = config.dbscan_min_pts - 1 - within.sum(axis=1)
+    assert np.array_equal(ensemble._score_dbscan(payload, rows), expected)
+
+
+@pytest.fixture(scope="module")
+def one_day_bank():
+    """The default bank's verdicts on a one-day dense stream, as
+    ``detect_batch`` fits and scores them."""
+    config = EngineConfig()
+    txs, _ = synth.synth_generate(synth.SynthConfig(base_rate=6.0, seed=5))
+    grids = build_grids(txs, config)
+    timeline = next(iter(grids.values())).timestamps
+    split = int(round(config.train_ratio * len(timeline)))
+    detectors, warnings = ensemble.fit_bank(grids, config, predictive_train_cells=split)
+    verdicts = ensemble.score_bank(detectors, grids, config, predictive_start=split)
+    return txs, config, timeline, verdicts, warnings
+
+
+@pytest.mark.parametrize(
+    ("kind", "bank"), [("knn", "predictive_detectors"), ("dbscan", "clustering_detectors")]
+)
+def test_leaving_a_kind_out_equals_dropping_its_verdicts(one_day_bank, kind, bank):
+    # each detector's seed depends only on (config seed, kind, group) and
+    # no fit reads another's, so one bank's verdicts measure every subset
+    txs, config, timeline, verdicts, warnings = one_day_bank
+    kept = {
+        group: [v for v in members if not v.detector_id.startswith(f"{kind}:")]
+        for group, members in verdicts.items()
+    }
+    merged = merge_group_votes(kept, timeline, config.alarm_categories, warnings)
+    without = dataclasses.replace(
+        config, **{bank: tuple(k for k in getattr(config, bank) if k != kind)}
+    )
+    report = run_batch(txs, without)
+    assert np.array_equal(report.alarm, merged.alarm)
+    assert report.flagging_detectors == merged.flagging_detectors
+    assert report.categories.keys() == merged.categories.keys()
+    for name, tally in report.categories.items():
+        for field in ("flagged", "total", "decision"):
+            assert np.array_equal(getattr(tally, field), getattr(merged.categories[name], field))
 
 
 def test_no_distance_matrix_grows_with_the_square_of_the_series(monkeypatch):

@@ -19,14 +19,23 @@ from ethsentinel.series import TimeSeries
 from ethsentinel.synth import SPIKE, Injection, SynthConfig, synth_generate
 
 GOLDEN = {
-    # one-day synthetic stream, default SynthConfig apart from the rate
-    "dense": (6.0, 3, "99e957ca00c6ca5d67253b366b342e4021f758817b038a2cf080e105746953db"),
-    "sparse": (0.02, 3, "81c8428cd677938f3a27f158bafa39527e2bdc16915bf2e93e4be228dcc9bf87"),
+    # (rate, seed, days): a synthetic stream, default SynthConfig apart
+    # from these; "sparse-4day" is the benchmark's batch-sparse input
+    "dense": (6.0, 3, 1, "99e957ca00c6ca5d67253b366b342e4021f758817b038a2cf080e105746953db"),
+    "sparse": (0.02, 3, 1, "81c8428cd677938f3a27f158bafa39527e2bdc16915bf2e93e4be228dcc9bf87"),
+    "sparse-4day": (
+        0.02,
+        1,
+        4,
+        "187fa50d6855429ac9649ac21930759112a486f849fa17972aeeded9f08e32c5",
+    ),
 }
 
 
-def report_digest(base_rate: float, seed: int) -> str:
-    transactions, _ = synth_generate(SynthConfig(base_rate=base_rate, seed=seed))
+def report_digest(base_rate: float, seed: int, days: int = 1) -> str:
+    transactions, _ = synth_generate(
+        SynthConfig(duration=days * 86400, base_rate=base_rate, seed=seed)
+    )
     config = EngineConfig()
     report = ensemble.run_batch(transactions, config)
     grids = ensemble.build_grids(transactions, config)
@@ -36,8 +45,8 @@ def report_digest(base_rate: float, seed: int) -> str:
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_batch_report_digest(name):
-    base_rate, seed, digest = GOLDEN[name]
-    assert report_digest(base_rate, seed) == digest
+    base_rate, seed, days, digest = GOLDEN[name]
+    assert report_digest(base_rate, seed, days) == digest
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -45,12 +54,14 @@ def test_batch_report_digest_with_two_blas_threads(name):
     """The digests do not depend on the BLAS thread count, which the
     benchmark pins to 1 and a test run leaves to the core count. The
     count is read when numpy loads, hence a fresh interpreter."""
-    base_rate, seed, digest = GOLDEN[name]
+    base_rate, seed, days, digest = GOLDEN[name]
     env = os.environ | {
         "OPENBLAS_NUM_THREADS": "2",
         "PYTHONPATH": os.pathsep.join(path for path in sys.path if path),
     }
-    code = f"from test_golden import report_digest; print(report_digest({base_rate}, {seed}))"
+    code = (
+        f"from test_golden import report_digest; print(report_digest({base_rate}, {seed}, {days}))"
+    )
     result = subprocess.run(
         [sys.executable, "-c", code],
         cwd=Path(__file__).resolve().parent,

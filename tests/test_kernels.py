@@ -41,15 +41,15 @@ def test_kernel_matrix_matches_closed_form():
     [
         (0, [0]),
         (1, [1]),
-        (512, [512]),
-        (513, [513]),
-        (1024, [512, 512]),
-        (1025, [512, 513]),
-        (1026, [512, 512, 2]),
+        (512, [128] * 4),
+        (513, [128] * 3 + [129]),
+        (1024, [128] * 8),
+        (1025, [128] * 7 + [129]),
+        (1026, [128] * 8 + [2]),
     ],
 )
 def test_row_blocks_cover_each_row_once(n, sizes):
-    # 512-row blocks; a lone last row joins the block before it
+    # 128-row blocks; a lone last row joins the block before it
     A = np.arange(2.0 * n).reshape(n, 2)
     seen = []
 

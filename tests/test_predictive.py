@@ -15,12 +15,12 @@ from ethsentinel.ensemble import (
     DetectorCategory,
     FittedDetector,
     _fit_predictive,
-    _knn_mean_targets,
+    _knn_fit_pairs,
+    _knn_predictions,
     _predictive_point_flags,
     build_grids,
 )
 from ethsentinel.errors import DataError, FitError
-from ethsentinel.kernels import sq_dists
 from ethsentinel.predictive import (
     ArimaModel,
     ArimaOrder,
@@ -361,12 +361,30 @@ def test_knn_mean_targets_hand_example():
     # train 1,2,3,4,5,6 with lags=2: pairs ([1,2]->3, [2,3]->4, [3,4]->5, [4,5]->6)
     train = np.arange(1.0, 7.0)
     X, y = _lag_pairs(train, 2)
+    payload, _ = _knn_fit_pairs(X, y, 1)
     # context [3, 4.2]: nearest pair [3,4]->5, then [4,5]->6 (no distance ties)
-    dist = sq_dists(np.array([[3.0, 4.2]]), X)
-    assert _knn_mean_targets(dist, y, 1).tolist() == [5.0]
-    assert _knn_mean_targets(dist, y, 2).tolist() == [5.5]
+    query = np.array([[3.0, 4.2]])
+    assert _knn_predictions(payload, query).tolist() == [5.0]
+    assert _knn_predictions(payload | {"k": 2}, query).tolist() == [5.5]
     with pytest.raises(FitError):
         _fit_predictive("knn", train, EngineConfig(knn_lags=2, knn_k=10), seed=0)
+
+
+def test_knn_tie_at_the_kth_place_shares_it_by_pair_count():
+    # the origin's context holds two pairs; three contexts tie at distance
+    # 1 with four pairs between them, and the third nearest pair is one
+    # of those four: each tied pair is taken with chance 1/4
+    X = np.array(
+        [[0, 0], [0, 0], [1, 0], [-1, 0], [-1, 0], [0, 1], [3, 3], [4, 4], [5, 5]], dtype=float
+    )
+    y = np.array([1, 3, 2, 4, 6, 8, 100, 200, 300], dtype=float)
+    payload, preds = _knn_fit_pairs(X, y, 3)
+    expected = np.mean([(1 + 3 + y[j]) / 3 for j in range(2, 6)])
+    assert expected == 3.0
+    assert _knn_predictions(payload, np.zeros((1, 2))).tolist() == [expected]
+    # leave-self-out at the origin: the twin, and two of the four tied pairs
+    assert preds[0] == (3 + 2 * np.mean(y[2:6])) / 3
+    assert preds[1] == (1 + 2 * np.mean(y[2:6])) / 3
 
 
 def exhaustive_best_split(X, y, min_leaf):
