@@ -10,7 +10,11 @@ conditional sum of squares; deterministic, no optimizer dependency.
 The long AR, with m = P*s lags for SARIMA, solves its normal
 equations by one Cholesky factor of a Gram built from shifted sums of
 the series, without its lag design; ``lstsq`` stays for a nearly
-rank-deficient long AR and for the small second-stage regression.
+rank-deficient long AR and for the small second-stage regression,
+whose design, like the lag pairs of k-NN and CART, ``_lagged`` builds.
+Code reads an order's seasonal part through ``ArimaOrder.seasonal_part``
+alone; a non-seasonal order's (0, 0, 0, 1) adds no term, so one path
+serves ARIMA and SARIMA.
 
 A fitted model keeps its coefficients in one array, in
 ``_split_params`` order: the intercept c, then phi, Phi, theta, Theta.
@@ -24,8 +28,9 @@ over numpy scalars. The residuals are bit-identical to that loop's
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -47,19 +52,24 @@ class ArimaOrder:
         if self.seasonal is None:
             if self.p + self.q < 1 and self.d < 1:
                 raise DataError("need p + q >= 1 or d >= 1")
-        else:
-            P, D, Q, s = self.seasonal
-            if s < 2:
-                raise DataError("seasonal period must be >= 2")
-            if P + Q < 1 and D < 1:
-                raise DataError("need P + Q >= 1 or D >= 1 in the seasonal part")
+            return
+        part = self.seasonal
+        ints = isinstance(part, tuple) and all(isinstance(x, (int, np.integer)) for x in part)
+        if not ints or len(part) != 4 or min(part[:3]) < 0 or part[3] < 2:
+            raise DataError(f"seasonal part must be four ints P, D, Q >= 0, s >= 2: {part!r}")
+        P, D, Q, _ = part
+        if P + Q < 1 and D < 1:
+            raise DataError("need P + Q >= 1 or D >= 1 in the seasonal part")
+
+    @property
+    def seasonal_part(self) -> tuple[int, int, int, int]:
+        """(P, D, Q, s), or (0, 0, 0, 1), which adds no term, for none."""
+        return (0, 0, 0, 1) if self.seasonal is None else self.seasonal
 
     @property
     def param_count(self) -> int:
-        n = self.p + self.q
-        if self.seasonal is not None:
-            n += self.seasonal[0] + self.seasonal[2]
-        return n
+        P, _, Q, _ = self.seasonal_part
+        return self.p + self.q + P + Q
 
 
 @dataclass(frozen=True)
@@ -112,33 +122,25 @@ def _apply_differencing(values: np.ndarray, order: ArimaOrder) -> list[np.ndarra
         if len(stages[-1]) < 2:
             raise DataError("series too short for differencing order")
         stages.append(np.diff(stages[-1]))
-    if order.seasonal is not None:
-        _, D, _, s = order.seasonal
-        for _ in range(D):
-            if len(stages[-1]) <= s:
-                raise DataError("series too short for seasonal differencing")
-            stages.append(stages[-1][s:] - stages[-1][:-s])
+    _, D, _, s = order.seasonal_part
+    for _ in range(D):
+        if len(stages[-1]) <= s:
+            raise DataError("series too short for seasonal differencing")
+        stages.append(stages[-1][s:] - stages[-1][:-s])
     return stages
 
 
 def _recursion_start(order: ArimaOrder) -> int:
-    p_lag = order.p
-    q_lag = order.q
-    if order.seasonal is not None:
-        P, _, Q, s = order.seasonal
-        p_lag = max(p_lag, P * s)
-        q_lag = max(q_lag, Q * s)
-    return max(p_lag, q_lag)
+    """The largest lag of the ARMA recursion."""
+    P, _, Q, s = order.seasonal_part
+    return max(order.p, order.q, P * s, Q * s)
 
 
 def _split_params(order: ArimaOrder, params: np.ndarray):
     """(c, phi, Phi, theta, Theta, s) of a model's parameter array: the
     one place that knows its layout. The slices are views."""
     p, q = order.p, order.q
-    P = Q = 0
-    s = 1
-    if order.seasonal is not None:
-        P, _, Q, s = order.seasonal
+    P, _, Q, s = order.seasonal_part
     c = float(params[0])
     phi = np.ascontiguousarray(params[1 : 1 + p])
     sphi = np.ascontiguousarray(params[1 + p : 1 + p + P])
@@ -215,11 +217,16 @@ def _css_residuals(
 ) -> np.ndarray:
     """One-step residuals on the differenced scale; the burn-in entries
     are ``history`` (the residuals the recursion continues from) or 0."""
-    c, phi, sphi, theta, stheta, s = _split_params(order, params)
-    return css_residuals(
-        np.ascontiguousarray(w, dtype=np.float64),
-        c, phi, sphi, theta, stheta, s, _recursion_start(order), history,
-    )
+    return css_residuals(w, *_split_params(order, params), _recursion_start(order), history)
+
+
+def _lagged(x: np.ndarray, lags, t0: int) -> np.ndarray:
+    """Lag design of ``x`` over cells [t0, len(x)): column j holds ``x``
+    lagged by ``lags[j]`` <= t0, entry (i, j) being x[t0 + i - lags[j]]."""
+    design = np.empty((len(x) - t0, len(lags)))
+    for j, lag in enumerate(lags):
+        design[:, j] = x[t0 - lag : len(x) - lag]
+    return design
 
 
 def _lstsq(design: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -332,48 +339,30 @@ def _hannan_rissanen(w: np.ndarray, order: ArimaOrder) -> np.ndarray:
     ``_split_params`` order (Hannan & Rissanen 1982).
 
     Stage 1 fits a long AR(m) by least squares and keeps its residuals
-    as innovation estimates (``_long_ar_residuals``). It solves the
-    normal equations with the Cholesky factor of a Gram built from
-    shifted sums of ``w``, and builds the lag design for ``lstsq`` only
-    when the column-scaled Gram has no Cholesky factor or a pivot below
-    ``_GRAM_PIVOT_FLOOR``. Stage 2 regresses ``w`` on its lags and the
-    lagged estimates with ``lstsq``, over 1 + p + P + q + Q columns.
+    as innovation estimates (``_long_ar_residuals``). Stage 2 regresses
+    ``w`` on an intercept, its lags 1 to p and s to P*s, and the negated
+    estimates' lags 1 to q and s to Q*s, with ``lstsq``.
     """
     p, q = order.p, order.q
-    P = Q = s = 0
-    if order.seasonal is not None:
-        P, _, Q, s = order.seasonal
+    P, _, Q, s = order.seasonal_part
     n = len(w)
     if np.var(w) == 0.0:
         raise FitError("constant series after differencing: collinear lags")
 
     # Stage 1: long AR to estimate the innovation sequence.
-    m = max(int(math.ceil(10 * math.log10(max(n, 10)))), p, q, P * s, Q * s)
+    m = max(int(math.ceil(10 * math.log10(max(n, 10)))), _recursion_start(order))
     m = min(m, n // 2)
-    if m < 1 or n - m < p + q + P + Q + 2:
+    if m < 1 or n - m < order.param_count + 2:
         raise DataError("series too short for the requested order")
     e_hat = _long_ar_residuals(w, m) if q + Q > 0 else np.zeros(n)
 
-    # Stage 2: regress w_t on its lags and lagged innovation estimates.
-    t0 = max(p, P * s, (m + q) if q else 0, (m + Q * s) if Q else 0)
-    t0 = max(t0, 1)
-    rows = n - t0
-    cols = 1 + p + P + q + Q
-    design = np.empty((rows, cols))
-    design[:, 0] = 1.0
-    col = 1
-    for i in range(1, p + 1):
-        design[:, col] = w[t0 - i : n - i]
-        col += 1
-    for j in range(1, P + 1):
-        design[:, col] = w[t0 - j * s : n - j * s]
-        col += 1
-    for i in range(1, q + 1):
-        design[:, col] = -e_hat[t0 - i : n - i]
-        col += 1
-    for j in range(1, Q + 1):
-        design[:, col] = -e_hat[t0 - j * s : n - j * s]
-        col += 1
+    # Stage 2, from the first cell whose lagged estimates all follow
+    # stage 1's m-cell burn-in.
+    ar_lags = [*range(1, p + 1), *range(s, P * s + 1, s)]
+    ma_lags = [*range(1, q + 1), *range(s, Q * s + 1, s)]
+    t0 = max(1, *ar_lags, *(m + lag for lag in ma_lags))
+    lagged = (_lagged(w, ar_lags, t0), _lagged(-e_hat, ma_lags, t0))
+    design = np.column_stack((np.ones(n - t0), *lagged))
     params = _lstsq(design, w[t0:])
     if not np.all(np.isfinite(params)):
         raise NumericError("non-finite coefficients in Hannan-Rissanen stage 2")
@@ -450,7 +439,8 @@ def arima_residuals(
     order = model.order
     params = model.params
     burn_in = _recursion_start(order)
-    lag = order.d + (order.seasonal[1] * order.seasonal[3] if order.seasonal else 0)
+    _, D, _, s = order.seasonal_part
+    lag = order.d + D * s
     if carry is not None and lag <= start < len(values):
         w_new = _apply_differencing(values[start - lag :], order)[-1]
         w = np.concatenate((carry.w, w_new))
@@ -485,27 +475,38 @@ def aic(n: int, sse: float, order: ArimaOrder) -> float:
 
 
 def _candidate_orders(max_order: int, seasonal_period: int | None) -> list[ArimaOrder]:
-    orders = []
-    for p in range(1, max_order + 1):
-        for d in range(0, max_order):
-            for q in range(1, max_order + 1):
-                if seasonal_period is None:
-                    orders.append(ArimaOrder(p, d, q))
-                else:
-                    for P in range(1, max_order + 1):
-                        for D in range(0, max_order):
-                            for Q in range(1, max_order + 1):
-                                orders.append(
-                                    ArimaOrder(p, d, q, (P, D, Q, seasonal_period))
-                                )
-    return orders
+    """p, q in [1, max_order] and d in [0, max_order), and so (P, D, Q)
+    given a period, in (p, d, q, P, D, Q) lexicographic order."""
+    pdq = (range(1, max_order + 1), range(max_order), range(1, max_order + 1))
+    seasonal = pdq if seasonal_period is not None else ()
+    return [
+        ArimaOrder(*c[:3], (*c[3:], seasonal_period) if seasonal else None)
+        for c in itertools.product(*pdq, *seasonal)
+    ]
 
 
 def _tie_key(order: ArimaOrder):
-    P = Q = 0
-    if order.seasonal is not None:
-        P, _, Q, _ = order.seasonal
-    return (order.p + order.q + P + Q, order.p)
+    return (order.param_count, order.p)
+
+
+def _scored_orders(max_order: int, seasonal_period: int | None, score) -> list:
+    """(score(order), order) of each candidate order in turn, skipping
+    those that fail to fit or score a non-finite value."""
+    if max_order < 1:
+        raise DataError("max_order must be >= 1")
+    scored, failures = [], []
+    for order in _candidate_orders(max_order, seasonal_period):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = score(order)
+            if not math.isfinite(value):
+                raise FitError("unstable candidate: non-finite score")
+            scored.append((value, order))
+        except (DataError, FitError, NumericError) as exc:
+            failures.append((order, str(exc)))
+    if not scored:
+        raise FitError(f"all candidate orders failed: {failures}")
+    return scored
 
 
 def grid_search_order(
@@ -525,69 +526,43 @@ def grid_search_order(
     nested orders a coin flip on fold noise.
     """
     train = np.asarray(train, dtype=np.float64)
-    if max_order < 1:
-        raise DataError("max_order must be >= 1")
     if folds < 1:
         raise DataError("need at least one fold")
     n = len(train)
     boundaries = np.linspace(n // 2, n, folds + 1, dtype=int)
-    scored = []
-    failures = []
-    for order in _candidate_orders(max_order, seasonal_period):
-        try:
-            errors = []
-            with np.errstate(over="ignore", invalid="ignore"):
-                for f in range(folds):
-                    lo, hi = boundaries[f], boundaries[f + 1]
-                    if hi <= lo:
-                        continue
-                    model = arima_fit(train[:lo], order)
-                    _, residuals, offset = arima_predict_in_sample(model, train[:hi])
-                    fold_res = residuals[lo - offset : hi - offset]
-                    errors.append(float(np.mean(fold_res**2)))
-            if not errors or not all(math.isfinite(e) for e in errors):
-                raise FitError("unstable candidate: non-finite fold error")
-            score = float(np.mean(errors))
-        except (DataError, FitError, NumericError) as exc:
-            failures.append((order, str(exc)))
-            continue
-        scored.append((score, order))
-    if not scored:
-        raise FitError(f"all candidate orders failed: {failures}")
+
+    def cv_error(order):
+        errors = []
+        for f in range(folds):
+            lo, hi = boundaries[f], boundaries[f + 1]
+            if hi <= lo:
+                continue
+            model = arima_fit(train[:lo], order)
+            _, residuals, offset = arima_predict_in_sample(model, train[:hi])
+            errors.append(float(np.mean(residuals[lo - offset : hi - offset] ** 2)))
+        if not errors:
+            raise FitError("no fold to score")
+        return float(np.mean(errors))
+
+    scored = _scored_orders(max_order, seasonal_period, cv_error)
     best_score = min(score for score, _ in scored)
-    tied = [
-        order
-        for score, order in scored
-        if score <= best_score * (1.0 + tie_tolerance)
-    ]
+    tied = [order for score, order in scored if score <= best_score * (1.0 + tie_tolerance)]
     return min(tied, key=_tie_key)
 
 
 def select_order_aic(
     train: np.ndarray, max_order: int, seasonal_period: int | None = None
 ) -> ArimaOrder:
-    """Unsupervised order selection by the Akaike information criterion."""
+    """Unsupervised order selection by the Akaike information criterion;
+    of equal (AIC, ``_tie_key``) pairs, the first candidate wins."""
     train = np.asarray(train, dtype=np.float64)
-    best = None
-    failures = []
-    for order in _candidate_orders(max_order, seasonal_period):
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                model = arima_fit(train, order)
-                _, residuals, _ = arima_predict_in_sample(model, train)
-                sse = float(residuals @ residuals)
-            if not math.isfinite(sse):
-                raise FitError("unstable candidate: non-finite SSE")
-            score = aic(len(residuals), sse, order)
-        except (DataError, FitError, NumericError) as exc:
-            failures.append((order, str(exc)))
-            continue
-        key = (score, _tie_key(order))
-        if best is None or key < best[0]:
-            best = (key, order)
-    if best is None:
-        raise FitError(f"all candidate orders failed: {failures}")
-    return best[1]
+
+    def order_aic(order):
+        _, residuals, _ = arima_predict_in_sample(arima_fit(train, order), train)
+        return aic(len(residuals), float(residuals @ residuals), order)
+
+    scored = _scored_orders(max_order, seasonal_period, order_aic)
+    return min(scored, key=lambda pair: (pair[0], _tie_key(pair[1])))[1]
 
 
 @dataclass(frozen=True)
@@ -659,12 +634,7 @@ def _lag_pairs(train: np.ndarray, lags: int) -> tuple[np.ndarray, np.ndarray]:
     train = np.asarray(train, dtype=np.float64)
     if len(train) <= lags:
         raise DataError("training series must be longer than the lag count")
-    n_pairs = len(train) - lags
-    X = np.empty((n_pairs, lags))
-    for i in range(lags):
-        X[:, i] = train[i : i + n_pairs]
-    y = train[lags:]
-    return X, y
+    return _lagged(train, range(lags, 0, -1), lags), train[lags:]
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ethsentinel import cli, ensemble
@@ -120,6 +121,43 @@ def stream_alarm_lines() -> list[str]:
                 )
             )
     return lines
+
+
+# SHA-256 over the coefficients and training residual RMS of every
+# ARIMA and SARIMA detector that ``fit_bank`` fits on the "dense" input.
+# The report digests move only when a flag flips; this one moves when a
+# coefficient changes in its last bit.
+COEFFICIENT_GOLDEN = "4b3f6f25f30db43685553b00713062d97d728e7bedacd9ec570fd26f581596b5"
+
+
+def coefficient_digest() -> tuple[str, list[str]]:
+    """The digest over the batch fits, and the ids of the detectors it
+    covers."""
+    base_rate, seed, days, _ = GOLDEN["dense"]
+    transactions, _ = synth_generate(
+        SynthConfig(duration=days * 86400, base_rate=base_rate, seed=seed)
+    )
+    config = EngineConfig(
+        predictive_detectors=("arima", "sarima"), reduction_detectors=(), clustering_detectors=()
+    )
+    grids = ensemble.build_grids(transactions, config)
+    split = int(round(config.train_ratio * len(grids["value"].values)))
+    detectors, warnings = ensemble.fit_bank(grids, config, predictive_train_cells=split)
+    assert not warnings
+    digest = hashlib.sha256()
+    for det in detectors:
+        model = det.payload["model"]
+        digest.update(det.detector_id.encode("utf-8"))
+        digest.update(model.params.tobytes())
+        digest.update(np.float64(model.residual_rms).tobytes())
+    return digest.hexdigest(), [det.detector_id for det in detectors]
+
+
+def test_arima_coefficient_digest():
+    digest, ids = coefficient_digest()
+    groups = EngineConfig().features
+    assert sorted(ids) == sorted(f"{kind}:{g}" for kind in ("arima", "sarima") for g in groups)
+    assert digest == COEFFICIENT_GOLDEN
 
 
 def test_stream_alarm_digest():

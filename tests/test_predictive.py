@@ -25,7 +25,9 @@ from ethsentinel.predictive import (
     ArimaModel,
     ArimaOrder,
     _best_split,
+    _candidate_orders,
     _lag_pairs,
+    _lagged,
     _long_ar_gram,
     _long_ar_residuals,
     aic,
@@ -73,6 +75,13 @@ def test_order_validation():
         ArimaOrder(-1, 0, 0)
     order = ArimaOrder(2, 1, 1)
     assert order.param_count == 3  # 2 AR + 1 MA
+    assert order.seasonal_part == (0, 0, 0, 1)
+    seasonal = ArimaOrder(1, 0, 1, (2, 1, 1, 4))
+    assert seasonal.seasonal_part == (2, 1, 1, 4) and seasonal.param_count == 5
+    # a negative P, three entries, a period below 2, a float, a list
+    for part in ((-1, 0, 2, 4), (1, 0, 1), (1, 0, 1, 1), (1, 0, 1, 4.0), [1, 0, 1, 4]):
+        with pytest.raises(DataError):
+            ArimaOrder(1, 0, 1, part)
 
 
 def test_model_params_must_match_the_order():
@@ -334,6 +343,35 @@ def test_aic_selects_ar2():
     x = simulate_ar([0.6, -0.4], 1500, 3)
     order = select_order_aic(x, max_order=3)
     assert order.p == 2 and order.d == 0
+
+
+@pytest.mark.parametrize("search", [grid_search_order, select_order_aic])
+def test_order_searches_reject_max_order_zero(search):
+    x = simulate_ar([0.6], 200, 0)
+    with pytest.raises(DataError, match="max_order"):
+        search(x, max_order=0)
+
+
+def test_candidate_orders_follow_the_nested_loop():
+    """``select_order_aic`` keeps the first of equal (AIC, tie key)
+    pairs, so the candidate sequence is behaviour."""
+    seasonal, plain = [], []
+    for p in range(1, 3):
+        for d in range(2):
+            for q in range(1, 3):
+                plain.append(ArimaOrder(p, d, q))
+                for P in range(1, 3):
+                    for D in range(2):
+                        for Q in range(1, 3):
+                            seasonal.append(ArimaOrder(p, d, q, (P, D, Q, 4)))
+    assert _candidate_orders(2, 4) == seasonal
+    assert _candidate_orders(2, None) == plain
+
+
+def test_lagged_columns_hold_the_series_at_each_lag():
+    x = np.arange(6.0)
+    assert _lagged(x, [1, 3], 3).tolist() == [[2.0, 0.0], [3.0, 1.0], [4.0, 2.0]]
+    assert _lagged(x, [], 2).shape == (4, 0)
 
 
 def test_stl_recovers_constructed_seasonal():
