@@ -127,6 +127,54 @@ def _window_matrix(
     return view[starts].reshape(len(starts), width), starts
 
 
+def _cell_counts(lo: np.ndarray, hi: np.ndarray, cells: int) -> np.ndarray:
+    """How many of the ranges [lo, hi) cover each of ``cells`` cells: +1
+    at lo, -1 at hi, and a running sum."""
+    counts = np.zeros(cells + 1, dtype=int)
+    np.add.at(counts, lo, 1)
+    np.add.at(counts, hi, -1)
+    return np.cumsum(counts[:-1])
+
+
+@dataclass(frozen=True, eq=False)
+class WindowFrame:
+    """The windows that the row kinds of one group share: windows of
+    ``cells`` cells every ``stride`` cells, standardized by the column
+    ``mean`` and ``std`` of the training windows. Frames compare by
+    identity, so a detector kept from an earlier fit scores with its
+    own frame, not with the one its group was refitted on."""
+
+    cells: int
+    stride: int
+    mean: np.ndarray = field(repr=False)
+    std: np.ndarray = field(repr=False)
+
+    @classmethod
+    def fit(cls, values: np.ndarray, cells: int, stride: int) -> tuple[WindowFrame, np.ndarray]:
+        """The frame fitted on every window of ``values``, with those
+        windows standardized as read-only rows."""
+        matrix, _ = _window_matrix(values, cells, stride, 0)
+        if len(matrix) < 10:
+            raise FitError("too few windows")
+        rows, mean, std = standardize(matrix)
+        rows.flags.writeable = False
+        return cls(cells, stride, mean, std), rows
+
+    def windows(self, values: np.ndarray, start: int) -> tuple[np.ndarray, ...]:
+        """(rows, lo, hi, covering) of the windows that cover a cell of
+        [start, n): their standardized read-only rows, the cells [lo,
+        hi) of that range that each covers, counted from start, and the
+        number of windows covering each cell of the range. Only these
+        windows are built."""
+        w = self.cells
+        matrix, starts = _window_matrix(values, w, self.stride, max(0, start - w + 1))
+        rows = (matrix - self.mean) / self.std
+        rows.flags.writeable = False
+        lo = np.maximum(starts, start) - start
+        hi = starts + w - start
+        return rows, lo, hi, _cell_counts(lo, hi, len(values) - start)
+
+
 def _subsample_rows(matrix: np.ndarray, cap: int, seed: int) -> np.ndarray:
     if len(matrix) <= cap:
         return matrix
@@ -412,10 +460,12 @@ def _fit_ocsvm(rows, config, seed):
     return {"model": kernels.one_class_fit(train, nu), "threshold": 0.0}
 
 
-def _thresholded(model, score, rows, config):
-    """A model whose threshold is mean + residual_multiplier * std of
-    its scores on the training rows."""
-    threshold = reduction.score_threshold(score(model, rows), config.residual_multiplier)
+def _fit_pca(rows, config, seed):
+    """A PCA whose threshold is mean + residual_multiplier * std of its
+    scores on the training rows."""
+    model = reduction.pca_fit(rows, config.pca_explained)
+    scores = reduction.pca_score(model, rows)
+    threshold = reduction.score_threshold(scores, config.residual_multiplier)
     return {"model": model, "threshold": threshold}
 
 
@@ -428,7 +478,9 @@ def _fit_ae(rows, config, seed):
     model = reduction.ae_train(
         rows, config.ae_hidden, config.ae_epochs, config.ae_learning_rate, seed=seed
     )
-    return _thresholded(model, reduction.ae_score, rows, config)
+    # mean + residual_multiplier * std of the errors the fit already computed
+    threshold = model.training_error_mean + config.residual_multiplier * model.training_error_std
+    return {"model": model, "threshold": threshold}
 
 
 @dataclass(frozen=True)
@@ -447,12 +499,16 @@ class DetectorKind:
     and SARIMA keep the ``carry`` of a contracting residual recursion,
     STL the centred moving average of the database and its length, so
     that an ordinary tick computes only what its new cells change. A row
-    kind fits on standardized rows, ``fit(rows, config, seed) ->
-    payload``, and scores standardized rows, ``score(payload, rows)``;
-    its rows are the windows of ``window(config)`` cells of each feature
-    and, unless ``config.UNIVARIATE_ONLY_KINDS`` names it, of the
-    per-cell feature rows. The functions look library code up when
-    called, so a wrapper set on a module attribute sees every call.
+    kind fits and scores the standardized rows of a shared
+    ``WindowFrame``, ``fit(rows, config, seed) -> payload`` and
+    ``score(payload, rows)``; the rows are read-only. Its windows are
+    of ``window(config)`` cells of each feature and, unless
+    ``config.UNIVARIATE_ONLY_KINDS`` names it, of the per-cell feature
+    rows. The row kinds of one group and window length share one frame,
+    held in each payload as ``frame``: its windows are built and
+    standardized once per fit and once per scoring call. The functions
+    look library code up when called, so a wrapper set on a module
+    attribute sees every call.
     """
 
     fit: Callable
@@ -474,12 +530,7 @@ DETECTOR_KINDS = {
     "kridge": DetectorKind(
         _fit_kridge, _lag_scorer(lambda p, X: kernels.kernel_ridge_predict(p["model"], X))
     ),
-    "pca": DetectorKind(
-        lambda rows, config, seed: _thresholded(
-            reduction.pca_fit(rows, config.pca_explained), reduction.pca_score, rows, config
-        ),
-        lambda p, rows: reduction.pca_score(p["model"], rows),
-    ),
+    "pca": DetectorKind(_fit_pca, lambda p, rows: reduction.pca_score(p["model"], rows)),
     "iforest": DetectorKind(
         _fit_iforest, lambda p, rows: reduction.iforest_score(p["model"], rows)
     ),
@@ -512,9 +563,8 @@ def _fit_predictive(kind: str, train: np.ndarray, config: EngineConfig, seed: in
 
 
 def _fit_row_detector(kind: str, rows: np.ndarray, config: EngineConfig, seed: int) -> dict:
-    """Fit a window/row detector on standardized training rows."""
-    std_rows, mean, std = standardize(rows)
-    return {"mean": mean, "std": std, **DETECTOR_KINDS[kind].fit(std_rows, config, seed)}
+    """Fit a row detector on its frame's standardized training rows."""
+    return DETECTOR_KINDS[kind].fit(rows, config, seed)
 
 
 def _flags(scores: np.ndarray, payload: dict) -> np.ndarray:
@@ -523,9 +573,8 @@ def _flags(scores: np.ndarray, payload: dict) -> np.ndarray:
 
 
 def _score_rows(kind: str, payload: dict, rows: np.ndarray) -> np.ndarray:
-    """Boolean flag per row for a fitted window/row detector."""
-    std_rows = (rows - payload["mean"]) / payload["std"]
-    return _flags(DETECTOR_KINDS[kind].score(payload, std_rows), payload)
+    """Boolean flag per standardized row for a fitted row detector."""
+    return _flags(DETECTOR_KINDS[kind].score(payload, rows), payload)
 
 
 def fit_bank(
@@ -558,19 +607,20 @@ def fit_bank(
             return
         detectors.append(FittedDetector(detector_id, kind, KIND_CATEGORY[kind], group, payload))
 
-    def fit_windows(kind, matrix, w, seed):
-        if len(matrix) < 10:
-            raise FitError("too few windows")
-        payload = _fit_row_detector(kind, matrix, config, seed)
-        return payload | {"window_cells": w, "stride_cells": s_cells}
-
     def fit_row_kinds(group, values, kinds):
-        matrices = {}  # training windows by window length
-        for kind in kinds:
+        # the group's frames with their training rows, by window length; a
+        # frame that fails is not kept, so each kind that shares it reports
+        frames = {}
+
+        def fit_on_frame(kind, seed):
             w = DETECTOR_KINDS[kind].window(config)
-            if w not in matrices:
-                matrices[w], _ = _window_matrix(values, w, s_cells, 0)
-            add(kind, group, lambda seed: fit_windows(kind, matrices[w], w, seed))
+            if w not in frames:
+                frames[w] = WindowFrame.fit(values, w, s_cells)
+            frame, rows = frames[w]
+            return {"frame": frame, **_fit_row_detector(kind, rows, config, seed)}
+
+        for kind in kinds:
+            add(kind, group, lambda seed: fit_on_frame(kind, seed))
 
     row_kinds = (*config.clustering_detectors, *config.reduction_detectors)
 
@@ -604,31 +654,15 @@ def _predictive_point_flags(
     return flags
 
 
-def _window_point_flags(
-    det: FittedDetector, values: np.ndarray, start: int, vote: str
-) -> np.ndarray:
-    """Flags for cells [start, n) by voting over the windows covering
-    each point: "any" / "majority" (strict) / "all" flagged windows.
-    Only windows that cover a cell of [start, n) are built and scored."""
-    n = len(values)
-    w = det.payload["window_cells"]
-    stride = det.payload["stride_cells"]
-    matrix, starts = _window_matrix(values, w, stride, max(0, start - w + 1))
-    if len(starts) == 0:
-        return np.zeros(n - start, dtype=bool)
-    window_flags = _score_rows(det.kind, det.payload, matrix)
-    # each window covers cells [lo, hi) of the scored range: +1 at lo,
-    # -1 at hi, and a running sum gives the per-cell counts
-    lo = np.maximum(starts, start) - start
-    hi = starts + w - start
-    covering = np.zeros(n - start + 1, dtype=int)
-    flagged = np.zeros(n - start + 1, dtype=int)
-    np.add.at(covering, lo, 1)
-    np.add.at(covering, hi, -1)
-    np.add.at(flagged, lo[window_flags], 1)
-    np.add.at(flagged, hi[window_flags], -1)
-    covering = np.cumsum(covering[:-1])
-    flagged = np.cumsum(flagged[:-1])
+def _window_point_flags(det: FittedDetector, windows: tuple, vote: str) -> np.ndarray:
+    """Flags for the scored cells of ``windows``, as its frame's
+    ``windows`` gives them, by voting over the windows covering each
+    cell: "any" / "majority" (strict) / "all" flagged windows."""
+    rows, lo, hi, covering = windows
+    if len(rows) == 0:
+        return np.zeros(len(covering), dtype=bool)
+    window_flags = _score_rows(det.kind, det.payload, rows)
+    flagged = _cell_counts(lo[window_flags], hi[window_flags], len(covering))
     if vote == "any":
         return flagged > 0
     if vote == "all":
@@ -654,6 +688,7 @@ def score_bank(
     if any(det.group == MULTI_GROUP for det in detectors):
         multi_rows = np.column_stack([grids[name].values for name in config.features])
     verdicts: dict[str, list[DetectorVerdict]] = {}
+    windows: dict[WindowFrame, tuple] = {}  # built once per frame
     for det in detectors:
         if det.category is DetectorCategory.PREDICTIVE:
             state = None if carried is None else carried.setdefault(det.detector_id, {})
@@ -661,10 +696,11 @@ def score_bank(
                 det, grids[det.group].values, predictive_start, state
             )
         else:
-            values = (
-                multi_rows if det.group == MULTI_GROUP else grids[det.group].values
-            )
-            flags = _window_point_flags(det, values, unsupervised_start, config.window_vote)
+            frame = det.payload["frame"]
+            if frame not in windows:
+                values = multi_rows if det.group == MULTI_GROUP else grids[det.group].values
+                windows[frame] = frame.windows(values, unsupervised_start)
+            flags = _window_point_flags(det, windows[frame], config.window_vote)
         verdicts.setdefault(det.group, []).append(
             DetectorVerdict(det.detector_id, det.category, flags)
         )

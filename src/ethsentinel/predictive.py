@@ -349,18 +349,17 @@ def _hannan_rissanen(w: np.ndarray, order: ArimaOrder) -> np.ndarray:
     if np.var(w) == 0.0:
         raise FitError("constant series after differencing: collinear lags")
 
-    # Stage 1: long AR to estimate the innovation sequence.
+    # Stage 1 fits a long AR(m) on n - m rows; stage 2 starts at the
+    # first cell whose lagged estimates all follow stage 1's m-cell
+    # burn-in, and fits on n - t0 rows.
     m = max(int(math.ceil(10 * math.log10(max(n, 10)))), _recursion_start(order))
     m = min(m, n // 2)
-    if m < 1 or n - m < order.param_count + 2:
-        raise DataError("series too short for the requested order")
-    e_hat = _long_ar_residuals(w, m) if q + Q > 0 else np.zeros(n)
-
-    # Stage 2, from the first cell whose lagged estimates all follow
-    # stage 1's m-cell burn-in.
     ar_lags = [*range(1, p + 1), *range(s, P * s + 1, s)]
     ma_lags = [*range(1, q + 1), *range(s, Q * s + 1, s)]
     t0 = max(1, *ar_lags, *(m + lag for lag in ma_lags))
+    if m < 1 or n - max(m, t0) < order.param_count + 2:
+        raise DataError("series too short for the requested order")
+    e_hat = _long_ar_residuals(w, m) if q + Q > 0 else np.zeros(n)
     lagged = (_lagged(w, ar_lags, t0), _lagged(-e_hat, ma_lags, t0))
     design = np.column_stack((np.ones(n - t0), *lagged))
     params = _lstsq(design, w[t0:])

@@ -512,3 +512,11 @@ def test_residual_threshold_rule():
         det = FittedDetector("cart:value", "cart", DetectorCategory.PREDICTIVE, "value", payload)
         values = np.concatenate([train, scored])
         assert _predictive_point_flags(det, values, len(train)).tolist() == expected
+
+
+def test_hannan_rissanen_rejects_too_few_stage_two_rows():
+    # 60 cells leave the long AR enough rows, but the seasonal MA lag
+    # starts stage 2 past the end of the series
+    x = np.random.default_rng(0).standard_normal(60)
+    with pytest.raises(DataError):
+        arima_fit(x, ArimaOrder(1, 0, 1, (1, 0, 1, 40)))

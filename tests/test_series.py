@@ -97,17 +97,19 @@ def test_window_matrix_overlap_membership(monkeypatch):
                 keep = full_starts >= first
                 assert np.array_equal(got, full[keep])
                 assert np.array_equal(got_starts, full_starts[keep])
+            # mean 0 and std 1: the standardized windows are the windows
+            frame = ensemble.WindowFrame(w, stride, mean=0.0, std=1.0)
             det = ensemble.FittedDetector(
-                "pca:g", "pca", ensemble.DetectorCategory.REDUCTION, "g",
-                {"window_cells": w, "stride_cells": stride},
+                "pca:g", "pca", ensemble.DetectorCategory.REDUCTION, "g", {"frame": frame}
             )
             for start in (0, n // 2, n - 1):
                 used = full_starts >= max(0, start - w + 1)
+                windows = frame.windows(values, start)
                 for vote in ("any", "majority", "all"):
                     expected = naive_point_flags(
                         full[used].sum(1) > 0, full_starts[used], w, n, start, vote
                     )
-                    got = _window_point_flags(det, values, start, vote)
+                    got = _window_point_flags(det, windows, vote)
                     assert got.tolist() == expected.tolist()
 
 
