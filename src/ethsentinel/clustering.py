@@ -188,9 +188,15 @@ def estimate_eps(X: np.ndarray, k: int) -> float:
     distinct rows, and every row counts as many times as it occurs, so
     a matrix of repeated rows costs what its distinct rows cost."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if len(X) <= k:
+    return _k_distance_quantile(*np.unique(X, axis=0, return_counts=True), k)
+
+
+def _k_distance_quantile(distinct: np.ndarray, counts: np.ndarray, k: int) -> float:
+    """``estimate_eps`` of the rows that ``np.unique(X, axis=0,
+    return_counts=True)`` gives as (distinct, counts), for a caller
+    that holds them already."""
+    if counts.sum() <= k:
         raise DataError("need more rows than k")
-    distinct, counts = np.unique(X, axis=0, return_counts=True)
     distinct_sq = np.sum(distinct * distinct, axis=1)
 
     def kth_distance(block, lo):

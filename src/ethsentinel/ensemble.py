@@ -418,16 +418,17 @@ def _fit_kmeans(rows, config, seed):
 
 def _fit_dbscan(rows, config, seed):
     eps = config.dbscan_eps
-    reference = _subsample_rows(rows, config.boundary_subsample, seed)
+    reference, counts = np.unique(
+        _subsample_rows(rows, config.boundary_subsample, seed), axis=0, return_counts=True
+    )
     if eps == 0.0:
         # the k-distance quantile anchors the elbow from below; scale
         # it up so ~5% of the training rows don't flag by construction
-        eps = config.dbscan_eps_scale * clustering.estimate_eps(
-            reference, max(1, config.dbscan_min_pts - 1)
+        eps = config.dbscan_eps_scale * clustering._k_distance_quantile(
+            reference, counts, max(1, config.dbscan_min_pts - 1)
         )
     if eps <= 0.0:
         eps = 1e-9
-    reference, counts = np.unique(reference, axis=0, return_counts=True)
     return {
         "reference": reference,
         "reference_sq": np.sum(reference * reference, axis=1),

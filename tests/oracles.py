@@ -241,6 +241,29 @@ def naive_silhouette(X, labels):
     return float(sil.mean())
 
 
+def naive_ae_gradients(W1, b1, W2, b2, X):
+    """Reference mean-squared-reconstruction-error gradients: the full
+    (n, w) output and residual, backpropagated over every row, a
+    repeated row as often as it occurs."""
+    n, w = X.shape
+    hidden = np.tanh(X @ W1.T + b1)
+    out = hidden @ W2.T + b2
+    delta_out = 2.0 * (out - X) / (n * w)
+    delta_hidden = (delta_out @ W2) * (1.0 - hidden**2)
+    return (
+        delta_hidden.T @ X,
+        delta_hidden.sum(axis=0),
+        delta_out.T @ hidden,
+        delta_out.sum(axis=0),
+    )
+
+
+def naive_ae_loss(W1, b1, W2, b2, X):
+    """Reference mean squared reconstruction error from the full output."""
+    out = np.tanh(X @ W1.T + b1) @ W2.T + b2
+    return float(np.mean((out - X) ** 2))
+
+
 def naive_ae_train(X, hidden, epochs, learning_rate, seed):
     """Reference autoencoder training: fresh gradients and a second
     forward pass for the loss after each update. Returns the weights,

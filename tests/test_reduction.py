@@ -22,7 +22,7 @@ from ethsentinel.reduction import (
     score_threshold,
 )
 
-from oracles import naive_ae_train, naive_iforest_score
+from oracles import naive_ae_gradients, naive_ae_loss, naive_ae_train, naive_iforest_score
 
 
 def charpoly_eigenvalues(A):
@@ -177,6 +177,65 @@ def test_ae_train_matches_two_pass_oracle(rows, width, hidden, epochs):
     assert np.array_equal(model.loss_history, history)
     assert model.training_error_mean == float(errors.mean())
     assert model.training_error_std == float(errors.std())
+
+
+def _ae_inputs(name):
+    rng = np.random.default_rng(11)
+    if name == "criterion-10":
+        X = rng.standard_normal((16, 4))
+        hidden = 2
+    elif name == "dense":
+        X = rng.standard_normal((200, 32))
+        hidden = 8
+    else:  # mostly zero, most windows repeated
+        X = np.zeros((300, 32))
+        X[rng.random(X.shape) < 0.02] = 1.0
+        X = np.vstack([X, X[:150], np.zeros((100, 32))])
+        hidden = 8
+    w = X.shape[1]
+    weights = (
+        rng.standard_normal((hidden, w)) * 0.5,
+        rng.standard_normal(hidden) * 0.1,
+        rng.standard_normal((w, hidden)) * 0.5,
+        rng.standard_normal(w) * 0.1,
+    )
+    return X, weights
+
+
+@pytest.mark.parametrize("name", ["dense", "sparse-repeated", "criterion-10"])
+def test_ae_gradients_and_loss_match_the_full_output_oracle(name):
+    # the bottleneck form over distinct windows against the n x w
+    # forward and backward pass
+    X, weights = _ae_inputs(name)
+    if name == "sparse-repeated":
+        assert len(np.unique(X, axis=0)) < len(X) / 2
+    for got, want in zip(ae_gradients(*weights, X), naive_ae_gradients(*weights, X)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    want = naive_ae_loss(*weights, X)
+    assert abs(ae_loss(*weights, X) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("repeated", [False, True])
+def test_ae_train_depends_on_the_distinct_windows_and_their_share(repeated):
+    # training sees each distinct window once, weighted by its count:
+    # a row order or a uniform repetition of the rows changes no bit
+    rng = np.random.default_rng(12)
+    if repeated:
+        X = np.zeros((120, 8))
+        X[rng.random(X.shape) < 0.05] = 1.0
+        assert len(np.unique(X, axis=0)) < len(X) / 2
+    else:
+        X = rng.standard_normal((120, 8))
+    model = ae_train(X, 3, 50, 0.01, seed=2)
+    shuffled = ae_train(X[rng.permutation(len(X))], 3, 50, 0.01, seed=2)
+    doubled = ae_train(np.repeat(X, 2, axis=0), 3, 50, 0.01, seed=2)
+    for other in (shuffled, doubled):
+        for name in ("W1", "b1", "W2", "b2", "loss_history"):
+            assert np.array_equal(getattr(other, name), getattr(model, name)), name
+        # the per-window errors are equal too; only their summation order moves
+        assert other.training_error_mean == pytest.approx(model.training_error_mean, rel=1e-12)
+        assert other.training_error_std == pytest.approx(model.training_error_std, rel=1e-12)
 
 
 def test_ae_training_loss_monotone():
