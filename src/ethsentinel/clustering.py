@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .kernels import by_row_blocks, nearest, sq_dists
+from .kernels import DistinctRows, by_row_blocks, nearest, sq_dists
 
 NOISE = -1
 
@@ -188,23 +188,22 @@ def estimate_eps(X: np.ndarray, k: int) -> float:
     distinct rows, and every row counts as many times as it occurs, so
     a matrix of repeated rows costs what its distinct rows cost."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    return _k_distance_quantile(*np.unique(X, axis=0, return_counts=True), k)
+    return _k_distance_quantile(DistinctRows.of(X), k)
 
 
-def _k_distance_quantile(distinct: np.ndarray, counts: np.ndarray, k: int) -> float:
-    """``estimate_eps`` of the rows that ``np.unique(X, axis=0,
-    return_counts=True)`` gives as (distinct, counts), for a caller
+def _k_distance_quantile(distinct: DistinctRows, k: int) -> float:
+    """``estimate_eps`` of the rows that ``distinct`` holds, for a caller
     that holds them already."""
-    if counts.sum() <= k:
+    rows, counts = distinct.rows, distinct.counts
+    if len(distinct.inverse) <= k:
         raise DataError("need more rows than k")
-    distinct_sq = np.sum(distinct * distinct, axis=1)
 
     def kth_distance(block, lo):
         # the (k+1)-th smallest squared distance, copies counted: the
         # k + 1 nearest distinct rows hold at least k + 1 rows
-        idx, near = nearest(sq_dists(block, distinct, distinct_sq), min(k + 1, len(distinct)))
+        idx, near = nearest(sq_dists(block, rows, distinct.sq), min(k + 1, len(rows)))
         return near[np.arange(len(near)), (counts[idx].cumsum(axis=1) <= k).sum(axis=1)]
 
     # the square root is monotone, so it is taken of the k-th squared distance only
-    kth = np.sqrt(by_row_blocks(kth_distance, distinct))
+    kth = np.sqrt(by_row_blocks(kth_distance, rows))
     return float(np.quantile(np.repeat(kth, counts), 0.95))

@@ -212,10 +212,10 @@ def _score_arima(payload, values, start, state):
     recursion contracts, and the next tick continues the recursion over
     its own cells; any other model runs it over the whole database."""
     model = payload["model"]
-    carry = state.get("carry") if state is not None else None
+    carry = state.get("carry")
     with np.errstate(over="ignore", invalid="ignore"):
         residuals, offset, carry = predictive.arima_residuals(model, values, start, carry)
-    if state is not None and model.recursion_contracts:
+    if model.recursion_contracts:
         state["carry"] = carry
     first = max(start, offset)
     return first, np.abs(residuals[first - offset :])
@@ -237,15 +237,14 @@ def _score_stl(payload, values, start, state):
         return n, np.empty(0)
     taps = predictive.trend_taps(period)
     tail = start - len(taps) + 1  # the first window that reaches a new cell
-    kept = state.get("stl") if state is not None else None
+    kept = state.get("stl")
     if kept is not None and 0 <= tail and start < n:
         average, length = kept
         evicted = length - start
         average = np.concatenate((average[evicted:], np.convolve(values[tail:], taps, "valid")))
     else:
         average = np.convolve(values, taps, "valid")
-    if state is not None:
-        state["stl"] = (average, n)
+    state["stl"] = (average, n)
     return start, np.abs(predictive.stl_decompose(values, period, average).residual[start:])
 
 
@@ -290,26 +289,24 @@ def _knn_forecast(sums: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
 def _knn_fit_pairs(X: np.ndarray, y: np.ndarray, k: int) -> tuple[dict, np.ndarray]:
     """The kNN payload of the lag pairs (X, y), and each pair's
     leave-self-out forecast. The payload holds the distinct lag
-    ``contexts`` with their squared norms, the ``counts`` of pairs that
-    share each one and the ``sums`` of their targets. The queries are
-    the contexts, so the fit costs the square of the distinct contexts,
-    not of the pairs, and each pair's forecast is its context's with
-    the pair left out."""
-    contexts, inverse, counts = np.unique(X, axis=0, return_inverse=True, return_counts=True)
-    inverse = inverse.reshape(-1)  # its shape under ``axis`` differs across numpy 2.x releases
-    contexts_sq = np.sum(contexts * contexts, axis=1)
-    sums = np.bincount(inverse, weights=y, minlength=len(contexts))
+    ``contexts``, whose counts are the pairs that share each one, and
+    the ``sums`` of their targets. The queries are the contexts, so the
+    fit costs the square of the distinct contexts, not of the pairs, and
+    each pair's forecast is its context's with the pair left out."""
+    contexts = kernels.DistinctRows.of(X)
+    inverse = contexts.inverse
+    sums = np.bincount(inverse, weights=y, minlength=len(contexts.rows))
     # the pairs grouped by context: a block of contexts forecasts a run of them
     by_context = np.argsort(inverse, kind="stable")
-    bounds = np.concatenate(([0], np.cumsum(counts)))
+    bounds = np.concatenate(([0], np.cumsum(contexts.counts)))
 
     def predict(block, lo):
         # leave-self-out, else in-sample RMS degenerates to 0: a pair's
         # own context, at distance 0, loses the pair and its target
         own = np.arange(lo, lo + len(block))
-        dist = kernels.sq_dists(block, contexts, contexts_sq)
+        dist = kernels.sq_dists(block, contexts.rows, contexts.sq)
         dist[own - lo, own] = 0.0
-        idx, weights = _knn_nearest(dist, counts, k, own)
+        idx, weights = _knn_nearest(dist, contexts.counts, k, own)
         pairs = by_context[bounds[lo] : bounds[lo + len(block)]]
         rows = inverse[pairs] - lo
         idx = idx[rows]
@@ -318,14 +315,8 @@ def _knn_fit_pairs(X: np.ndarray, y: np.ndarray, k: int) -> tuple[dict, np.ndarr
         return _knn_forecast(held, weights[rows], k)
 
     preds = np.empty(len(y))
-    preds[by_context] = kernels.by_row_blocks(predict, contexts)
-    return {
-        "contexts": contexts,
-        "contexts_sq": contexts_sq,
-        "counts": counts,
-        "sums": sums,
-        "k": k,
-    }, preds
+    preds[by_context] = kernels.by_row_blocks(predict, contexts.rows)
+    return {"contexts": contexts, "sums": sums, "k": k}, preds
 
 
 def _fit_knn(train, config, seed):
@@ -337,13 +328,15 @@ def _fit_knn(train, config, seed):
     return payload | {"lags": lags, "rms": rms(y - preds)}
 
 
-def _knn_predictions(payload, contexts):
-    def predict(block, lo):
-        dist = kernels.sq_dists(block, payload["contexts"], payload["contexts_sq"])
-        idx, weights = _knn_nearest(dist, payload["counts"], payload["k"])
-        return _knn_forecast(payload["sums"][idx], weights, payload["k"])
+def _knn_predictions(payload, X):
+    contexts, k = payload["contexts"], payload["k"]
 
-    return kernels.by_row_blocks(predict, contexts)
+    def predict(block, lo):
+        dist = kernels.sq_dists(block, contexts.rows, contexts.sq)
+        idx, weights = _knn_nearest(dist, contexts.counts, k)
+        return _knn_forecast(payload["sums"][idx], weights, k)
+
+    return kernels.by_row_blocks(predict, X)
 
 
 def _holdout_rms(X, y, model, predict, fit_head) -> float:
@@ -359,10 +352,6 @@ def _holdout_rms(X, y, model, predict, fit_head) -> float:
     return rms(y[cut:] - predict(held, X[cut:]))
 
 
-def _cart_predictions(model, X):
-    return np.array([predictive.cart_predict(model, row) for row in X])
-
-
 def _fit_cart(train, config, seed):
     lags, depth, min_leaf = config.cart_lags, config.cart_depth, config.cart_min_leaf
     model = predictive.cart_fit(train, lags, depth, min_leaf)
@@ -371,7 +360,7 @@ def _fit_cart(train, config, seed):
     def fit_head(cut):
         return predictive.cart_fit(train[: cut + lags], lags, depth, min_leaf)
 
-    noise = _holdout_rms(X, y, model, _cart_predictions, fit_head)
+    noise = _holdout_rms(X, y, model, predictive.cart_predict, fit_head)
     return {"model": model, "lags": lags, "rms": noise}
 
 
@@ -418,25 +407,16 @@ def _fit_kmeans(rows, config, seed):
 
 def _fit_dbscan(rows, config, seed):
     eps = config.dbscan_eps
-    reference, counts = np.unique(
-        _subsample_rows(rows, config.boundary_subsample, seed), axis=0, return_counts=True
-    )
+    reference = kernels.DistinctRows.of(_subsample_rows(rows, config.boundary_subsample, seed))
     if eps == 0.0:
         # the k-distance quantile anchors the elbow from below; scale
         # it up so ~5% of the training rows don't flag by construction
         eps = config.dbscan_eps_scale * clustering._k_distance_quantile(
-            reference, counts, max(1, config.dbscan_min_pts - 1)
+            reference, max(1, config.dbscan_min_pts - 1)
         )
     if eps <= 0.0:
         eps = 1e-9
-    return {
-        "reference": reference,
-        "reference_sq": np.sum(reference * reference, axis=1),
-        "counts": counts,
-        "eps": eps,
-        "min_pts": config.dbscan_min_pts,
-        "threshold": 0,
-    }
+    return {"reference": reference, "eps": eps, "min_pts": config.dbscan_min_pts, "threshold": 0}
 
 
 def _score_dbscan(payload, rows):
@@ -444,13 +424,13 @@ def _score_dbscan(payload, rows):
     # it lacks neighbours within eps (itself included) to reach min_pts.
     # The reference rows are distinct: each counts once, and a repeated
     # one adds its further copies
-    counts = payload["counts"]
-    repeated = np.flatnonzero(counts > 1)
+    reference = payload["reference"]
+    repeated = np.flatnonzero(reference.counts > 1)
 
     def neighbours(block, lo):
-        sq = kernels.sq_dists(block, payload["reference"], payload["reference_sq"])
+        sq = kernels.sq_dists(block, reference.rows, reference.sq)
         within = sq <= payload["eps"] ** 2
-        return within.sum(axis=1) + within[:, repeated] @ (counts[repeated] - 1)
+        return within.sum(axis=1) + within[:, repeated] @ (reference.counts[repeated] - 1)
 
     return payload["min_pts"] - 1 - kernels.by_row_blocks(neighbours, rows)
 
@@ -496,10 +476,11 @@ class DetectorKind:
     values, start, state)`` returns ``(first, scores)``, the absolute
     one-step residuals of cells [first, n), where first >= start.
     ``state`` is a dict the kind may keep across the ticks of one
-    stream, emptied when the bank is refitted, or None in batch: ARIMA
-    and SARIMA keep the ``carry`` of a contracting residual recursion,
-    STL the centred moving average of the database and its length, so
-    that an ordinary tick computes only what its new cells change. A row
+    stream, emptied when the bank is refitted, and a fresh one per
+    detector in batch: ARIMA and SARIMA keep the ``carry`` of a
+    contracting residual recursion, STL the centred moving average of
+    the database and its length, so that an ordinary tick computes only
+    what its new cells change. A row
     kind fits and scores the standardized rows of a shared
     ``WindowFrame``, ``fit(rows, config, seed) -> payload`` and
     ``score(payload, rows)``; the rows are read-only. Its windows are
@@ -527,7 +508,9 @@ DETECTOR_KINDS = {
     ),
     "stl": DetectorKind(_fit_stl, _score_stl),
     "knn": DetectorKind(_fit_knn, _lag_scorer(_knn_predictions)),
-    "cart": DetectorKind(_fit_cart, _lag_scorer(lambda p, X: _cart_predictions(p["model"], X))),
+    "cart": DetectorKind(
+        _fit_cart, _lag_scorer(lambda p, X: predictive.cart_predict(p["model"], X))
+    ),
     "kridge": DetectorKind(
         _fit_kridge, _lag_scorer(lambda p, X: kernels.kernel_ridge_predict(p["model"], X))
     ),
@@ -645,10 +628,10 @@ def fit_bank(
 
 
 def _predictive_point_flags(
-    det: FittedDetector, values: np.ndarray, start: int, state: dict | None = None
+    det: FittedDetector, values: np.ndarray, start: int, state: dict
 ) -> np.ndarray:
     """Flags for cells [start, n) from a fitted predictive detector;
-    ``state`` is the detector's stream state, if any."""
+    ``state`` is the detector's state (``DetectorKind``)."""
     first, scores = DETECTOR_KINDS[det.kind].score(det.payload, values, start, state)
     flags = np.zeros(len(values) - start, dtype=bool)
     flags[first - start :] = _flags(scores, det.payload)
@@ -692,7 +675,7 @@ def score_bank(
     windows: dict[WindowFrame, tuple] = {}  # built once per frame
     for det in detectors:
         if det.category is DetectorCategory.PREDICTIVE:
-            state = None if carried is None else carried.setdefault(det.detector_id, {})
+            state = {} if carried is None else carried.setdefault(det.detector_id, {})
             flags = _predictive_point_flags(
                 det, grids[det.group].values, predictive_start, state
             )

@@ -6,7 +6,9 @@ a float; the fits take an optional one, by default 1/(d * var)
 squared-distance helper, and ``by_row_blocks`` builds a (rows x
 reference) matrix a block of rows at a time, so that no distance matrix
 grows with the square of a series; ``nearest`` selects the smallest
-entries of each row of such a block. Scores take an (n, d) row matrix.
+entries of each row of such a block. ``DistinctRows`` is the one form
+of a matrix's distinct rows, which k-NN, DBSCAN, its eps estimate and
+the autoencoder work on. Scores take an (n, d) row matrix.
 
 The one-class dual (minimize 0.5*a'Ga s.t. 0 <= a_i <= 1/(nu*n),
 sum a = 1) is solved by most-violating-pair coordinate descent
@@ -77,6 +79,26 @@ def nearest(dist: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     values = dist[row, idx]
     order = np.lexsort((idx, values))
     return idx[row, order], values[row, order]
+
+
+@dataclass(frozen=True, eq=False)
+class DistinctRows:
+    """The distinct rows of an (n, d) matrix X, in ``np.unique``'s
+    lexicographic order: row j of X is ``rows[inverse[j]]``, distinct row
+    i stands for ``counts[i]`` rows of X, and ``sq`` holds the squared
+    norms of the distinct rows, the ``B_sq`` of ``sq_dists``. A
+    permutation of X's rows changes only ``inverse``."""
+
+    rows: np.ndarray = field(repr=False)
+    counts: np.ndarray = field(repr=False)  # int
+    inverse: np.ndarray = field(repr=False)  # 1-D
+    sq: np.ndarray = field(repr=False)
+
+    @classmethod
+    def of(cls, X: np.ndarray) -> DistinctRows:
+        rows, inverse, counts = np.unique(X, axis=0, return_inverse=True, return_counts=True)
+        # the inverse's shape under ``axis`` differs across numpy 2.x releases
+        return cls(rows, counts, inverse.reshape(-1), np.sum(rows * rows, axis=1))
 
 
 def by_row_blocks(fn, A: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Predictive detector bank: S/ARIMA forecasting, seasonal-trend
-decomposition, k-NN lag pairs, and CART regression. The engine turns
+decomposition and CART regression, with the lag pairs (``_lag_pairs``)
+that CART and the engine's k-NN forecaster fit on. The engine turns
 their one-step residuals into flags (``ensemble.DetectorKind``).
 
 ARMA coefficients follow the sign convention
@@ -648,7 +649,6 @@ class CartNode:
 @dataclass(frozen=True)
 class CartRegressor:
     root: CartNode
-    lags: int
 
 
 def _best_split(X: np.ndarray, y: np.ndarray, min_leaf: int):
@@ -704,13 +704,16 @@ def cart_fit(train: np.ndarray, lags: int, max_depth: int, min_leaf: int) -> Car
     if max_depth < 0 or min_leaf < 1:
         raise DataError("max_depth must be >= 0 and min_leaf >= 1")
     X, y = _lag_pairs(train, lags)
-    return CartRegressor(root=_grow(X, y, 0, max_depth, min_leaf), lags=lags)
+    return CartRegressor(root=_grow(X, y, 0, max_depth, min_leaf))
 
 
-def cart_predict(regressor: CartRegressor, context: np.ndarray) -> float:
-    context = np.asarray(context, dtype=np.float64)
-    node = regressor.root
-    while node.feature >= 0:
-        node = node.left if context[node.feature] <= node.threshold else node.right
-    return float(node.prediction)
+def cart_predict(regressor: CartRegressor, X: np.ndarray) -> np.ndarray:
+    """Predictions for the rows of an (n, lags) matrix."""
 
+    def walk(context):
+        node = regressor.root
+        while node.feature >= 0:
+            node = node.left if context[node.feature] <= node.threshold else node.right
+        return node.prediction
+
+    return np.array([walk(row) for row in np.asarray(X, dtype=np.float64)], dtype=np.float64)

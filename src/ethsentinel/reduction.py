@@ -9,11 +9,12 @@ which makes the swap a change of outputs, not a refactor.
 
 The autoencoder is a single tanh bottleneck trained by full-batch
 gradient descent on the mean squared reconstruction error. An epoch
-works in the bottleneck space, over the distinct training windows,
-each weighted by its count: one product of the distinct windows with
-[W1; W2'] gives the pre-activation and W2'x, and the count-weighted
-Gram terms H'H, H'X and the sum of H give the gradients and the loss,
-with the sums of x and of |x|^2 taken once per fit. No epoch builds the
+works in the bottleneck space, over the distinct training windows
+(``kernels.DistinctRows``), each weighted by its count: one product of
+the distinct windows with [W1; W2'] gives the pre-activation and W2'x,
+and the count-weighted Gram terms H'H, H'X and the sum of H give the
+gradients and the loss, with the float weights and the sums of x and
+of |x|^2 taken once per fit (``_ae_sums``). No epoch builds the
 n x w output or its residual; one forward pass over the distinct
 windows after the last epoch gives the per-window training errors.
 """
@@ -27,6 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DataError, NumericError
+from .kernels import DistinctRows
 
 JACOBI_TOLERANCE = 1e-12
 JACOBI_MAX_SWEEPS = 100
@@ -252,46 +254,30 @@ def _ae_forward(W1, b1, W2, b2, X):
     return hidden, hidden @ W2.T + b2
 
 
-@dataclass(frozen=True)
-class _DistinctWindows:
-    """Training windows as their distinct rows: row j of the input is
-    ``rows[inverse[j]]``, and distinct row i stands for ``counts[i]``
-    rows. Holds the sums of the input rows that the loss needs."""
-
-    rows: np.ndarray
-    inverse: np.ndarray
-    counts: np.ndarray  # float, to weight by
-    total: int  # input rows, copies counted
-    x_sum: np.ndarray  # column sums
-    x_sq: float  # sum of squares
-
-    @classmethod
-    def of(cls, X: np.ndarray) -> "_DistinctWindows":
-        distinct, inverse, counts = np.unique(X, axis=0, return_inverse=True, return_counts=True)
-        counts = counts.astype(np.float64)
-        return cls(
-            rows=distinct,
-            inverse=inverse.reshape(-1),
-            counts=counts,
-            total=len(X),
-            x_sum=counts @ distinct,
-            x_sq=float(np.sum(distinct * distinct, axis=1) @ counts),
-        )
+def _ae_sums(windows: DistinctRows):
+    """What every ``_ae_pass`` over ``windows`` takes as fixed: the
+    counts as float weights, the column sums of the input rows and the
+    sum of their squares."""
+    weights = windows.counts.astype(np.float64)
+    return weights, weights @ windows.rows, float(windows.sq @ weights)
 
 
-def _ae_pass(W1, b1, W2, b2, windows: _DistinctWindows):
+def _ae_pass(W1, b1, W2, b2, windows: DistinctRows, sums):
     """Mean squared reconstruction error over the distinct windows, each
     weighted by its count, and its gradients in the bottleneck space (see
-    the module docstring). The h x n_d quantities hold one window per
-    column. Returns (loss, (gW1, gb1, gW2, gb2))."""
-    X, counts = windows.rows, windows.counts
+    the module docstring); ``sums`` is ``_ae_sums(windows)``. The h x n_d
+    quantities hold one window per column. Returns (loss, (gW1, gb1,
+    gW2, gb2))."""
+    X = windows.rows
+    counts, x_sum, x_sq = sums
+    total = len(windows.inverse)
     h, w = W1.shape
     product = np.vstack((W1, W2.T)) @ X.T
     hidden = np.tanh(product[:h] + b1[:, None])
     weighted = hidden * counts
     gram = weighted @ hidden.T
     h_sum = hidden @ counts
-    scale = 2.0 / (windows.total * w)
+    scale = 2.0 / (total * w)
     W2tW2 = W2.T @ W2
     # the hidden delta: W2'(out - x) = W2'W2 H + W2'b2 - W2'x, through tanh
     delta = (W2tW2 @ hidden + (b2 @ W2)[:, None] - product[h:]) * (1.0 - hidden * hidden)
@@ -301,27 +287,29 @@ def _ae_pass(W1, b1, W2, b2, windows: _DistinctWindows):
     gW1 = cross[h:]
     gb1 = delta.sum(axis=1)
     gW2 = scale * (W2 @ gram + np.outer(b2, h_sum) - hx.T)
-    gb2 = scale * (W2 @ h_sum + windows.total * b2 - windows.x_sum)
+    gb2 = scale * (W2 @ h_sum + total * b2 - x_sum)
     # the sum of |W2 H + b2 - x|^2 over the rows, expanded into the same terms
     squares = (
         np.sum(gram * W2tW2)
-        + 2.0 * (h_sum @ (W2.T @ b2) - np.sum(hx * W2.T) - b2 @ windows.x_sum)
-        + windows.total * (b2 @ b2)
-        + windows.x_sq
+        + 2.0 * (h_sum @ (W2.T @ b2) - np.sum(hx * W2.T) - b2 @ x_sum)
+        + total * (b2 @ b2)
+        + x_sq
     )
-    return float(squares) / (windows.total * w), (gW1, gb1, gW2, gb2)
+    return float(squares) / (total * w), (gW1, gb1, gW2, gb2)
 
 
 def ae_gradients(W1, b1, W2, b2, X):
     """Mean-squared-reconstruction-error gradients, in the form that
     ``ae_train`` runs."""
-    return _ae_pass(W1, b1, W2, b2, _DistinctWindows.of(np.asarray(X, dtype=np.float64)))[1]
+    windows = DistinctRows.of(np.asarray(X, dtype=np.float64))
+    return _ae_pass(W1, b1, W2, b2, windows, _ae_sums(windows))[1]
 
 
 def ae_loss(W1, b1, W2, b2, X):
     """Mean squared reconstruction error, in the form that ``ae_train``
     records."""
-    return _ae_pass(W1, b1, W2, b2, _DistinctWindows.of(np.asarray(X, dtype=np.float64)))[0]
+    windows = DistinctRows.of(np.asarray(X, dtype=np.float64))
+    return _ae_pass(W1, b1, W2, b2, windows, _ae_sums(windows))[0]
 
 
 def ae_train(
@@ -344,16 +332,17 @@ def ae_train(
     W2 = rng.uniform(-r, r, size=(w, hidden))
     b2 = np.zeros(w)
     history = np.empty(epochs)
-    train = _DistinctWindows.of(X)
+    train = DistinctRows.of(X)
+    sums = _ae_sums(train)
     # one pass per epoch: the pass after an update gives that update's
     # loss and the next update's gradients
-    _, (gW1, gb1, gW2, gb2) = _ae_pass(W1, b1, W2, b2, train)
+    _, (gW1, gb1, gW2, gb2) = _ae_pass(W1, b1, W2, b2, train, sums)
     for epoch in range(epochs):
         W1 -= learning_rate * gW1
         b1 -= learning_rate * gb1
         W2 -= learning_rate * gW2
         b2 -= learning_rate * gb2
-        loss, (gW1, gb1, gW2, gb2) = _ae_pass(W1, b1, W2, b2, train)
+        loss, (gW1, gb1, gW2, gb2) = _ae_pass(W1, b1, W2, b2, train, sums)
         if not math.isfinite(loss):
             raise NumericError(f"non-finite training loss at epoch {epoch}")
         history[epoch] = loss

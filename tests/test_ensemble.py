@@ -373,8 +373,8 @@ def test_every_detector_flags_where_its_score_exceeds_its_threshold(default_bank
         if det.category is P:
             values = grids[det.group].values
             start = len(values) // 2
-            first, scores = kind.score(payload, values, start, None)
-            flags = ensemble._predictive_point_flags(det, values, start)
+            first, scores = kind.score(payload, values, start, {})
+            flags = ensemble._predictive_point_flags(det, values, start, {})
             assert not flags[: first - start].any()
             flags = flags[first - start :]
         else:
@@ -671,7 +671,7 @@ def test_non_contracting_model_is_never_carried():
         database = x[k : k + 60]
         carried = ensemble._predictive_point_flags(det, database, 59, state)
         # a restart, as every tick made before states were carried
-        restarted = ensemble._predictive_point_flags(det, database, 59)
+        restarted = ensemble._predictive_point_flags(det, database, 59, {})
         assert np.array_equal(carried, restarted)
     assert "carry" not in state
 
@@ -698,11 +698,11 @@ def test_stl_carried_average_equals_a_restart(period):
         database = x[max(0, hi - span) : hi]
         start = len(database) - appended
         first, carried = score(payload, database, start, scored)
-        _, restarted = score(payload, database, start, None)
+        _, restarted = score(payload, database, start, {})
         assert first == start and np.array_equal(carried, restarted)
         assert np.array_equal(
             ensemble._predictive_point_flags(det, database, start, flagged),
-            ensemble._predictive_point_flags(det, database, start),
+            ensemble._predictive_point_flags(det, database, start, {}),
         )
         assert flagged["stl"][1] == len(database)
     assert hi > span
@@ -759,7 +759,7 @@ def test_knn_fit_matches_whole_matrix_oracle(pairs):
     train = np.random.default_rng(pairs).standard_normal(pairs + config.knn_lags)
     y, preds = naive_knn_loo_predictions(train, config.knn_lags, config.knn_k)
     payload = ensemble._fit_knn(train, config, seed=0)
-    assert payload["counts"].sum() == pairs
+    assert payload["contexts"].counts.sum() == pairs
     assert payload["rms"] == ensemble.rms(y - preds)
 
 
@@ -780,8 +780,8 @@ def test_knn_fit_matches_whole_matrix_oracle_on_repeated_contexts(pairs):
     train = sparse_series(pairs + config.knn_lags, pairs)
     y, preds = naive_knn_loo_predictions(train, config.knn_lags, config.knn_k)
     payload = ensemble._fit_knn(train, config, seed=0)
-    assert len(payload["contexts"]) < pairs / 2
-    assert payload["counts"].sum() == pairs
+    assert len(payload["contexts"].rows) < pairs / 2
+    assert payload["contexts"].counts.sum() == pairs
     assert payload["rms"] == ensemble.rms(y - preds)
 
 
@@ -795,8 +795,9 @@ def test_knn_forecasts_do_not_depend_on_the_order_of_the_pairs():
     perm = np.random.default_rng(0).permutation(len(y))
     shuffled, shuffled_preds = ensemble._knn_fit_pairs(X[perm], y[perm], 5)
     assert np.array_equal(shuffled_preds, preds[perm])
-    for key in ("contexts", "counts", "sums"):
-        assert np.array_equal(shuffled[key], payload[key])
+    for key in ("rows", "counts", "sq"):
+        assert np.array_equal(getattr(shuffled["contexts"], key), getattr(payload["contexts"], key))
+    assert np.array_equal(shuffled["sums"], payload["sums"])
     assert np.array_equal(
         ensemble._knn_predictions(shuffled, queries), ensemble._knn_predictions(payload, queries)
     )
@@ -820,11 +821,36 @@ def test_dbscan_score_counts_the_whole_reference_subsample():
     rows = np.lib.stride_tricks.sliding_window_view(values, 15)
     payload = ensemble._fit_dbscan(rows, config, seed=11)
     reference = ensemble._subsample_rows(rows, config.boundary_subsample, 11)
-    assert len(payload["reference"]) < len(reference) / 2
-    assert payload["counts"].sum() == len(reference)
+    assert len(payload["reference"].rows) < len(reference) / 2
+    assert payload["reference"].counts.sum() == len(reference)
     within = naive_sq_dists(rows, reference) <= payload["eps"] ** 2
     expected = config.dbscan_min_pts - 1 - within.sum(axis=1)
     assert np.array_equal(ensemble._score_dbscan(payload, rows), expected)
+
+
+def test_fit_bank_builds_one_distinct_row_set_per_knn_dbscan_and_ae_detector(monkeypatch):
+    # the kNN lag contexts, the DBSCAN reference, whose eps estimate
+    # takes the same set, and the autoencoder's training windows
+    fitting, built = [], {}
+    of = kernels.DistinctRows.of.__func__
+
+    def counting(cls, X):
+        built[fitting[-1]] = built.get(fitting[-1], 0) + 1
+        return of(cls, X)
+
+    monkeypatch.setattr(kernels.DistinctRows, "of", classmethod(counting))
+    for name in ("_fit_predictive", "_fit_row_detector"):
+
+        def tracked(kind, *args, fit=getattr(ensemble, name)):
+            fitting.append(kind)
+            return fit(kind, *args)
+
+        monkeypatch.setattr(ensemble, name, tracked)
+    config = EngineConfig()
+    grids = build_grids(small_stream(seed=3, duration=2 * 3600)[0], config)
+    detectors, _ = ensemble.fit_bank(grids, config)
+    assert len(detectors) == 41
+    assert built == {"knn": 3, "dbscan": 4, "ae": 3}
 
 
 @pytest.fixture(scope="module")

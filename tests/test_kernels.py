@@ -2,8 +2,10 @@
 one-class SMO solver checked against an independent dense-grid dual
 oracle on tiny problems."""
 
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ import pytest
 from ethsentinel import kernels
 from ethsentinel.errors import DataError
 from ethsentinel.kernels import (
+    DistinctRows,
     by_row_blocks,
     gram,
     kernel_matrix,
@@ -117,6 +120,57 @@ def test_distances_and_gram_hold_one_square_buffer():
     bound = 1.5 * n * n * 8
     assert traced_peak(lambda: sq_dists(X, X)) < bound
     assert traced_peak(lambda: gram(X, 0.1)) < bound
+
+
+def distinct_rows_case(name):
+    """A dense matrix, every row distinct, or a mostly-zero one, most of
+    whose rows repeat, as the windows of a sparse account do."""
+    rng = np.random.default_rng(8)
+    if name == "dense":
+        return rng.standard_normal((300, 6))
+    return np.where(rng.random((500, 6)) < 0.05, rng.integers(1, 4, (500, 6)), 0).astype(float)
+
+
+@pytest.mark.parametrize("name", ["dense", "mostly_zero"])
+def test_distinct_rows_rebuild_the_matrix(name):
+    X = distinct_rows_case(name)
+    distinct = DistinctRows.of(X)
+    assert distinct.inverse.ndim == 1
+    assert distinct.rows[distinct.inverse].tobytes() == X.tobytes()
+    assert distinct.counts.dtype.kind == "i"
+    assert distinct.counts.sum() == len(X)
+    assert np.array_equal(distinct.sq, np.sum(distinct.rows * distinct.rows, axis=1))
+    if name == "mostly_zero":
+        assert len(distinct.rows) < len(X) / 2
+
+
+@pytest.mark.parametrize("name", ["dense", "mostly_zero"])
+def test_distinct_rows_do_not_depend_on_the_row_order(name):
+    X = distinct_rows_case(name)
+    perm = np.random.default_rng(9).permutation(len(X))
+    distinct, shuffled = DistinctRows.of(X), DistinctRows.of(X[perm])
+    for key in ("rows", "counts", "sq"):
+        assert getattr(shuffled, key).tobytes() == getattr(distinct, key).tobytes()
+    assert np.array_equal(shuffled.inverse, distinct.inverse[perm])
+
+
+def test_only_distinct_rows_call_np_unique_over_rows():
+    # one implementation of the distinct-row form: any other
+    # np.unique(..., axis=0) in the package is a second copy of it
+    sites = []
+    for path in sorted(Path(kernels.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "unique"
+                and any(
+                    kw.arg == "axis" and isinstance(kw.value, ast.Constant) and kw.value.value == 0
+                    for kw in node.keywords
+                )
+            ):
+                sites.append(path.name)
+    assert sites == ["kernels.py"]
 
 
 def test_gram_symmetry_and_unit_diagonal():

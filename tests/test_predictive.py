@@ -450,7 +450,7 @@ def test_cart_root_split_matches_exhaustive_oracle():
     n_pairs = len(train) - lags
     X = np.column_stack([train[i : i + n_pairs] for i in range(lags)])
     y = train[lags:]
-    preds = np.array([cart_predict(tree, X[i]) for i in range(n_pairs)])
+    preds = cart_predict(tree, X)
     sse = float(np.sum((y - preds) ** 2))
     assert sse <= exhaustive_best_split(X, y, min_leaf) + 1e-9
 
@@ -491,8 +491,7 @@ def test_cart_fits_step_function_exactly():
     # previous one, exactly representable by a depth-1 tree
     x = np.tile([5.0, -5.0], 50)
     tree = cart_fit(x, lags=1, max_depth=1, min_leaf=2)
-    assert cart_predict(tree, np.array([5.0])) == -5.0
-    assert cart_predict(tree, np.array([-5.0])) == 5.0
+    assert cart_predict(tree, np.array([[5.0], [-5.0]])).tolist() == [-5.0, 5.0]
 
 
 def test_residual_threshold_rule():
@@ -511,7 +510,7 @@ def test_residual_threshold_rule():
         assert payload["rms"] == threshold / 3.0 and payload["threshold"] == threshold
         det = FittedDetector("cart:value", "cart", DetectorCategory.PREDICTIVE, "value", payload)
         values = np.concatenate([train, scored])
-        assert _predictive_point_flags(det, values, len(train)).tolist() == expected
+        assert _predictive_point_flags(det, values, len(train), {}).tolist() == expected
 
 
 def test_hannan_rissanen_rejects_too_few_stage_two_rows():
