@@ -57,7 +57,6 @@ class EngineConfig:
     residual_multiplier: float = 3.0
     arima_order: tuple[int, int, int] = (1, 1, 1)
     sarima_period: int = 0  # 0: estimate, fall back to one day
-    fallback_period: int = 1440
     knn_lags: int = 5
     knn_k: int = 5
     cart_lags: int = 5
@@ -137,32 +136,27 @@ class EngineConfig:
             if len(set(names)) < len(names):
                 raise DataError(f"{category.value}_detectors lists a detector twice: {names!r}")
 
-        def wired(names):
-            """Whether ``mode`` and ``features`` fit any of these kinds."""
-            return any(
-                self.wires_univariate
-                or (self.wires_multivariate and name not in UNIVARIATE_ONLY_KINDS)
-                for name in names
-            )
-
-        if not any(wired(names) for names, _ in banks.values()):
+        wired = set().union(*self.group_kinds())
+        if not wired:
             raise DataError(f"mode {self.mode!r} with features {self.features!r} wires no detector")
         for name in self.alarm_categories:
-            if not wired(banks[DetectorCategory(name)][0]):
+            if wired.isdisjoint(banks[DetectorCategory(name)][0]):
                 raise DataError(
                     f"alarm category {name!r} has no detectors to vote in mode {self.mode!r}"
                 )
 
-    @property
-    def wires_univariate(self) -> bool:
-        """Whether each feature's grid gets its own detectors."""
-        return self.mode in (UNIVARIATE, BOTH)
-
-    @property
-    def wires_multivariate(self) -> bool:
-        """Whether the per-cell feature rows get detectors; one feature
-        makes no such rows."""
-        return self.mode in (MULTIVARIATE, BOTH) and len(self.features) > 1
+    def group_kinds(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """The bank's wiring: (the kinds fitted on each feature's grid,
+        the kinds fitted on the per-cell feature rows), in bank order. A
+        tuple is empty where ``mode`` wires no such group; one feature
+        makes no feature rows."""
+        row_kinds = (*self.clustering_detectors, *self.reduction_detectors)
+        grid_kinds = (*self.predictive_detectors, *row_kinds)
+        multi = self.mode in (MULTIVARIATE, BOTH) and len(self.features) > 1
+        return (
+            grid_kinds if self.mode in (UNIVARIATE, BOTH) else (),
+            tuple(k for k in row_kinds if k not in UNIVARIATE_ONLY_KINDS) if multi else (),
+        )
 
 
 def _member(kind: type[enum.Enum], name: str, what: str) -> None:

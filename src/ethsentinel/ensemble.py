@@ -1,12 +1,13 @@
 """Detector registry, per-category majority voting, and the rolling
 streaming engine (5-minute windows against a 4-day reference database).
 
-Wiring: every enabled detector runs once per stream group, where a
-group is one feature's univariate grid or the combined per-cell
-3-feature rows ("multi"). Votes are strict majorities within a
-category per group; a category fires at a point when any of its groups
-reaches a majority there, and the final alarm is an OR over the
-configured categories.
+Wiring: ``EngineConfig.group_kinds()`` names the kinds fitted on each
+feature's univariate grid and on the combined per-cell feature rows
+("multi"), and ``_groups`` turns it into the bank's groups, which
+``fit_bank`` and ``score_bank`` both walk. Votes are strict majorities
+within a category per group; a category fires at a point when any of
+its groups reaches a majority there, and the final alarm is an OR over
+the configured categories.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .config import (
     CLUSTERING_KINDS,
     PREDICTIVE_KINDS,
     REDUCTION_KINDS,
-    UNIVARIATE_ONLY_KINDS,
     DetectorCategory,
     EngineConfig,
 )
@@ -198,7 +198,7 @@ def _resolve_period(train: np.ndarray, config: EngineConfig, cycles: int) -> int
         except DataError:
             period = 0
         if period < 2:
-            period = config.fallback_period
+            period = 86400 // config.grid_step
     return min(period, max(2, len(train) // cycles))
 
 
@@ -354,11 +354,11 @@ def _holdout_rms(X, y, model, predict, fit_head) -> float:
 
 def _fit_cart(train, config, seed):
     lags, depth, min_leaf = config.cart_lags, config.cart_depth, config.cart_min_leaf
-    model = predictive.cart_fit(train, lags, depth, min_leaf)
     X, y = predictive._lag_pairs(train, lags)
+    model = predictive.cart_fit(X, y, depth, min_leaf)
 
     def fit_head(cut):
-        return predictive.cart_fit(train[: cut + lags], lags, depth, min_leaf)
+        return predictive.cart_fit(X[:cut], y[:cut], depth, min_leaf)
 
     noise = _holdout_rms(X, y, model, predictive.cart_predict, fit_head)
     return {"model": model, "lags": lags, "rms": noise}
@@ -484,13 +484,12 @@ class DetectorKind:
     kind fits and scores the standardized rows of a shared
     ``WindowFrame``, ``fit(rows, config, seed) -> payload`` and
     ``score(payload, rows)``; the rows are read-only. Its windows are
-    of ``window(config)`` cells of each feature and, unless
-    ``config.UNIVARIATE_ONLY_KINDS`` names it, of the per-cell feature
-    rows. The row kinds of one group and window length share one frame,
-    held in each payload as ``frame``: its windows are built and
-    standardized once per fit and once per scoring call. The functions
-    look library code up when called, so a wrapper set on a module
-    attribute sees every call.
+    of ``window(config)`` cells of the groups that
+    ``EngineConfig.group_kinds()`` wires it to. The row kinds of one
+    group and window length share one frame, held in each payload as
+    ``frame``: its windows are built and standardized once per fit and
+    once per scoring call. The functions look library code up when
+    called, so a wrapper set on a module attribute sees every call.
     """
 
     fit: Callable
@@ -561,6 +560,21 @@ def _score_rows(kind: str, payload: dict, rows: np.ndarray) -> np.ndarray:
     return _flags(DETECTOR_KINDS[kind].score(payload, rows), payload)
 
 
+def _groups(
+    grids: dict[str, TimeSeries], config: EngineConfig
+) -> list[tuple[str, np.ndarray, tuple[str, ...]]]:
+    """The bank's groups as (name, values, kinds), in bank order: each
+    feature's grid, then the per-cell feature rows as ``MULTI_GROUP``,
+    each with the kinds ``config.group_kinds()`` wires there. A group
+    with no kinds is left out."""
+    grid_kinds, multi_kinds = config.group_kinds()
+    groups = [(name, grid.values, grid_kinds) for name, grid in grids.items() if grid_kinds]
+    if multi_kinds:
+        rows = np.column_stack([grids[name].values for name in config.features])
+        groups.append((MULTI_GROUP, rows, multi_kinds))
+    return groups
+
+
 def fit_bank(
     grids: dict[str, TimeSeries],
     config: EngineConfig,
@@ -573,30 +587,22 @@ def fit_bank(
     chronological prefix (batch mode); None trains on everything
     (streaming retrain). Per-detector failures become warnings, not
     errors; a detector that fails keeps its model from ``previous``,
-    if it has one there, at its place in the bank.
+    if it has one there, at its place in the bank. A bank left empty
+    raises ``FitError``.
     """
     detectors: list[FittedDetector] = []
     warnings: list[str] = []
     kept = {det.detector_id: det for det in previous or ()}
     s_cells = config.window_stride // config.grid_step
-
-    def add(kind, group, fit):
-        detector_id = f"{kind}:{group}"
-        try:
-            payload = fit(_detector_seed(config.seed, kind, group))
-        except (DataError, FitError, NumericError) as exc:
-            warnings.append(f"{detector_id}: fit failed: {exc}")
-            if detector_id in kept:
-                detectors.append(kept[detector_id])
-            return
-        detectors.append(FittedDetector(detector_id, kind, KIND_CATEGORY[kind], group, payload))
-
-    def fit_row_kinds(group, values, kinds):
+    for group, values, kinds in _groups(grids, config):
+        train = values if predictive_train_cells is None else values[:predictive_train_cells]
         # the group's frames with their training rows, by window length; a
         # frame that fails is not kept, so each kind that shares it reports
         frames = {}
 
-        def fit_on_frame(kind, seed):
+        def fit(kind, seed):
+            if KIND_CATEGORY[kind] is DetectorCategory.PREDICTIVE:
+                return _fit_predictive(kind, train, config, seed)
             w = DETECTOR_KINDS[kind].window(config)
             if w not in frames:
                 frames[w] = WindowFrame.fit(values, w, s_cells)
@@ -604,22 +610,17 @@ def fit_bank(
             return {"frame": frame, **_fit_row_detector(kind, rows, config, seed)}
 
         for kind in kinds:
-            add(kind, group, lambda seed: fit_on_frame(kind, seed))
-
-    row_kinds = (*config.clustering_detectors, *config.reduction_detectors)
-
-    if config.wires_univariate:
-        for name, grid in grids.items():
-            values = grid.values
-            train = values if predictive_train_cells is None else values[:predictive_train_cells]
-            for kind in config.predictive_detectors:
-                add(kind, name, lambda seed: _fit_predictive(kind, train, config, seed))
-            fit_row_kinds(name, values, row_kinds)
-
-    if config.wires_multivariate:
-        rows = np.column_stack([grids[name].values for name in config.features])
-        multi_kinds = [kind for kind in row_kinds if kind not in UNIVARIATE_ONLY_KINDS]
-        fit_row_kinds(MULTI_GROUP, rows, multi_kinds)
+            detector_id = f"{kind}:{group}"
+            try:
+                payload = fit(kind, _detector_seed(config.seed, kind, group))
+            except (DataError, FitError, NumericError) as exc:
+                warnings.append(f"{detector_id}: fit failed: {exc}")
+                if detector_id in kept:
+                    detectors.append(kept[detector_id])
+                continue
+            detectors.append(FittedDetector(detector_id, kind, KIND_CATEGORY[kind], group, payload))
+    if not detectors:
+        raise FitError(f"every detector failed to fit: {warnings}")
     return detectors, warnings
 
 
@@ -668,22 +669,17 @@ def score_bank(
     banks cover [unsupervised_start, n). ``carried`` holds a stream's
     per-detector predictive states by detector id, and is updated.
     """
-    multi_rows = None
-    if any(det.group == MULTI_GROUP for det in detectors):
-        multi_rows = np.column_stack([grids[name].values for name in config.features])
+    values = {group: rows for group, rows, _ in _groups(grids, config)}
     verdicts: dict[str, list[DetectorVerdict]] = {}
     windows: dict[WindowFrame, tuple] = {}  # built once per frame
     for det in detectors:
         if det.category is DetectorCategory.PREDICTIVE:
             state = {} if carried is None else carried.setdefault(det.detector_id, {})
-            flags = _predictive_point_flags(
-                det, grids[det.group].values, predictive_start, state
-            )
+            flags = _predictive_point_flags(det, values[det.group], predictive_start, state)
         else:
             frame = det.payload["frame"]
             if frame not in windows:
-                values = multi_rows if det.group == MULTI_GROUP else grids[det.group].values
-                windows[frame] = frame.windows(values, unsupervised_start)
+                windows[frame] = frame.windows(values[det.group], unsupervised_start)
             flags = _window_point_flags(det, windows[frame], config.window_vote)
         verdicts.setdefault(det.group, []).append(
             DetectorVerdict(det.detector_id, det.category, flags)
@@ -764,8 +760,6 @@ def detect_batch(
     split = int(round(config.train_ratio * n))
     split = min(max(split, 1), n - 1) if n > 1 else 1
     detectors, warnings = fit_bank(grids, config, predictive_train_cells=split)
-    if not detectors:
-        raise FitError(f"every detector failed to fit: {warnings}")
     verdicts = score_bank(detectors, grids, config, predictive_start=split)
     timeline = next(iter(grids.values())).timestamps
     return grids, merge_group_votes(verdicts, timeline, config.alarm_categories, warnings)
@@ -808,8 +802,6 @@ def engine_from_grids(
 ) -> StreamEngine:
     grids = _evict(dict(grids), config)
     detectors, warnings = fit_bank(grids, config, predictive_train_cells=None)
-    if not detectors:
-        raise FitError(f"every detector failed to fit: {warnings}")
     now = int(next(iter(grids.values())).timestamps[-1])
     return StreamEngine(
         config=config,

@@ -699,11 +699,15 @@ def _grow(X, y, depth, max_depth, min_leaf) -> CartNode:
     )
 
 
-def cart_fit(train: np.ndarray, lags: int, max_depth: int, min_leaf: int) -> CartRegressor:
-    """Greedy variance-reduction regression tree on lag features."""
+def cart_fit(X: np.ndarray, y: np.ndarray, max_depth: int, min_leaf: int) -> CartRegressor:
+    """Greedy variance-reduction regression tree on the rows of an (n,
+    lags) matrix and their targets, such as the lag pairs."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    y = np.asarray(y, dtype=np.float64)
+    if len(X) != len(y) or len(X) < 1:
+        raise DataError("need matching, non-empty X and y")
     if max_depth < 0 or min_leaf < 1:
         raise DataError("max_depth must be >= 0 and min_leaf >= 1")
-    X, y = _lag_pairs(train, lags)
     return CartRegressor(root=_grow(X, y, 0, max_depth, min_leaf))
 
 

@@ -37,6 +37,20 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def test_a_bank_where_every_detector_fails_exits_3(workspace, capsys, monkeypatch):
+    def fail(*args):
+        raise ensemble.FitError("failed on purpose")
+
+    for name in ("_fit_predictive", "_fit_row_detector"):
+        monkeypatch.setattr(ensemble, name, fail)
+    for command in ("batch", "stream"):
+        assert run(
+            "detect", command, "--input", EXPLORER_FIXTURE, "--config",
+            workspace / "engine.cfg", "--out", workspace / "out.jsonl",
+        ) == 3
+        assert "every detector failed to fit" in capsys.readouterr().err
+
+
 def test_full_pipeline(workspace, capsys, monkeypatch):
     ws = workspace
     assert run(

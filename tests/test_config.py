@@ -3,9 +3,11 @@ file format."""
 
 import math
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+from ethsentinel import config
 from ethsentinel.config import EngineConfig, load_config, parse_config_text
 from ethsentinel.errors import DataError
 
@@ -100,7 +102,7 @@ def test_validation():
     # zero keeps its meaning where it has one; the boundaries of the ranges hold
     EngineConfig(sarima_period=0, cart_depth=0, kmeans_k=0, seed=0, dbscan_eps=0.0)
     EngineConfig(ocsvm_nu=1.0, residual_multiplier=0.0, train_ratio=0.5, pca_explained=1.0)
-    assert len(fields(EngineConfig)) == 43
+    assert len(fields(EngineConfig)) == 42
 
 
 def test_parse_overrides_and_types():
@@ -139,3 +141,12 @@ def test_load_config_round_trip(tmp_path):
     path.write_text("seed = 7\nocsvm_nu = 0.05\n", encoding="utf-8")
     cfg = load_config(path)
     assert cfg.seed == 7 and cfg.ocsvm_nu == 0.05
+
+
+def test_only_the_config_reads_the_wiring_rule():
+    # one wiring rule, EngineConfig.group_kinds: another module that names
+    # UNIVARIATE_ONLY_KINDS, or a wires_* property, is a second copy of it
+    texts = {path.name: path.read_text() for path in Path(config.__file__).parent.glob("*.py")}
+    readers = [name for name, text in texts.items() if "UNIVARIATE_ONLY_KINDS" in text]
+    assert readers == ["config.py"]
+    assert not any("wires_" in text for text in texts.values())

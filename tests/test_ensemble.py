@@ -364,21 +364,65 @@ def test_kind_table_wires_every_configured_kind(default_bank):
     assert all(det.category is ensemble.KIND_CATEGORY[det.kind] for det in detectors)
 
 
+@pytest.mark.parametrize("features", [("value",), ("value", "gasprice", "gaslimit")])
+@pytest.mark.parametrize("mode", ["univariate", "multivariate", "both"])
+def test_fit_bank_fits_the_groups_that_group_kinds_wires(mode, features):
+    txs, _ = small_stream(seed=3, duration=2 * 3600)
+    for predictive, reduction, clustering in (
+        (("arima",), (), ()),
+        ((), ("ae",), ()),
+        ((), ("pca", "ae"), ("kmeans",)),
+        (("knn",), ("pca",), ("kmeans",)),
+        ((), (), ()),
+    ):
+        overrides = dict(
+            mode=mode,
+            features=features,
+            predictive_detectors=predictive,
+            reduction_detectors=reduction,
+            clustering_detectors=clustering,
+            kmeans_k=2,
+            ae_epochs=5,
+        )
+        unchecked = copy.copy(EngineConfig())
+        for key, value in overrides.items():
+            object.__setattr__(unchecked, key, value)
+        # the config is refused exactly when its wiring rule fits nothing
+        if not any(unchecked.group_kinds()):
+            with pytest.raises(DataError, match="wires no detector"):
+                EngineConfig(**overrides)
+            continue
+        config = EngineConfig(**overrides)
+        grids = build_grids(txs, config)
+        detectors, warnings = ensemble.fit_bank(grids, config)
+        assert warnings == []
+        groups = ensemble._groups(grids, config)
+        expected = [(group, kind) for group, _, kinds in groups for kind in kinds]
+        assert [(det.group, det.kind) for det in detectors] == expected
+
+
+def test_fit_bank_raises_when_every_detector_fails(monkeypatch):
+    config = small_config()
+    txs, _ = small_stream(seed=3, duration=2 * 3600)
+    fail_refits(monkeypatch, set(ensemble.KIND_CATEGORY))
+    with pytest.raises(FitError, match="every detector failed to fit"):
+        ensemble.fit_bank(build_grids(txs, config), config)
+
+
 def test_every_detector_flags_where_its_score_exceeds_its_threshold(default_bank):
     config, grids, detectors, _ = default_bank
-    multi_rows = np.column_stack([grids[name].values for name in config.features])
+    group_values = {group: values for group, values, _ in ensemble._groups(grids, config)}
     for det in detectors:
         kind, payload = ensemble.DETECTOR_KINDS[det.kind], det.payload
         assert np.isfinite(payload["threshold"]), det.detector_id
+        values = group_values[det.group]
         if det.category is P:
-            values = grids[det.group].values
             start = len(values) // 2
             first, scores = kind.score(payload, values, start, {})
             flags = ensemble._predictive_point_flags(det, values, start, {})
             assert not flags[: first - start].any()
             flags = flags[first - start :]
         else:
-            values = multi_rows if det.group == ensemble.MULTI_GROUP else grids[det.group].values
             frame = payload["frame"]
             rows, _ = ensemble._window_matrix(values, frame.cells, frame.stride, 0)
             rows = (rows - frame.mean) / frame.std
@@ -410,6 +454,16 @@ def test_stream_tick_builds_only_windows_covering_new_cells(monkeypatch):
     # not every window of the database
     for w, rows in built:
         assert 0 < rows <= w
+
+
+def test_the_fallback_period_is_one_day_of_cells():
+    # a constant series shows no period, so SARIMA and STL fall back to
+    # one day: 288 cells of 300 s, inside the cap of 2000 // cycles
+    config = EngineConfig(grid_step=300, window_stride=300)
+    train = np.full(2000, 7.0)
+    assert ensemble._resolve_period(train, config, 2) == 288
+    assert ensemble._resolve_period(train, config, 3) == 288
+    assert ensemble.DETECTOR_KINDS["stl"].fit(train, config, 0)["period"] == 288
 
 
 def fail_refits(monkeypatch, failing):
@@ -478,11 +532,12 @@ def test_a_detector_kept_after_a_failed_refit_scores_with_its_own_frame(monkeypa
     monkeypatch.setattr(ensemble, "_score_rows", spy)
     # this tick retrains too, and pca fails and is kept again
     advance_one(engine, grids, fit_cells + 1)
-    multi_rows = np.column_stack([engine.grids[name].values for name in engine.config.features])
+    groups = ensemble._groups(engine.grids, engine.config)
+    group_values = {group: values for group, values, _ in groups}
     for det in kept:
         assert any(d is det for d in engine.detectors)
         frame = det.payload["frame"]
-        values = multi_rows if det.group == ensemble.MULTI_GROUP else engine.grids[det.group].values
+        values = group_values[det.group]
         start = len(values) - 1
         matrix, _ = ensemble._window_matrix(
             values, frame.cells, frame.stride, max(0, start - frame.cells + 1)

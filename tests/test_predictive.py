@@ -446,7 +446,7 @@ def test_cart_root_split_matches_exhaustive_oracle():
     rng = np.random.default_rng(4)
     train = rng.standard_normal(64)
     lags, min_leaf = 3, 5
-    tree = cart_fit(train, lags=lags, max_depth=1, min_leaf=min_leaf)
+    tree = cart_fit(*_lag_pairs(train, lags), max_depth=1, min_leaf=min_leaf)
     n_pairs = len(train) - lags
     X = np.column_stack([train[i : i + n_pairs] for i in range(lags)])
     y = train[lags:]
@@ -490,8 +490,15 @@ def test_cart_fits_step_function_exactly():
     # alternating series: the next value is a step function of the
     # previous one, exactly representable by a depth-1 tree
     x = np.tile([5.0, -5.0], 50)
-    tree = cart_fit(x, lags=1, max_depth=1, min_leaf=2)
+    tree = cart_fit(*_lag_pairs(x, 1), max_depth=1, min_leaf=2)
     assert cart_predict(tree, np.array([[5.0], [-5.0]])).tolist() == [-5.0, 5.0]
+
+
+def test_cart_fit_rejects_mismatched_or_empty_pairs():
+    X, y = _lag_pairs(np.arange(10.0), 2)
+    for pairs in ((X, y[:-1]), (X[:0], y[:0])):
+        with pytest.raises(DataError):
+            cart_fit(*pairs, max_depth=1, min_leaf=1)
 
 
 def test_residual_threshold_rule():
