@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -55,8 +56,6 @@ def _engine_config(args) -> EngineConfig:
     if getattr(args, "grid", None) is not None:
         overrides["grid_step"] = args.grid
     if overrides:
-        from dataclasses import replace
-
         config = replace(config, **overrides)
     return config
 
@@ -140,8 +139,6 @@ def cmd_detect_stream(args) -> int:
 def cmd_synth(args) -> int:
     config = synth.load_synth_config(args.config) if args.config else synth.SynthConfig()
     if args.seed is not None:
-        from dataclasses import replace
-
         config = replace(config, seed=args.seed)
     transactions, labels = synth.synth_generate(config)
     ingest.write_csv(transactions, args.out)

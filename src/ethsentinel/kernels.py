@@ -10,6 +10,11 @@ entries of each row of such a block. ``DistinctRows`` is the one form
 of a matrix's distinct rows, which k-NN, DBSCAN, its eps estimate and
 the autoencoder work on. Scores take an (n, d) row matrix.
 
+Both kernel machines fit on ``kernel_matrix(X, X, gamma)``, which is
+exactly symmetric as computed, and evaluate sum_i w_i k(r_i, x) in
+blocks of query rows. Kernel ridge keeps every training row; the
+one-class machine keeps its support, the rows whose alpha is positive.
+
 The one-class dual (minimize 0.5*a'Ga s.t. 0 <= a_i <= 1/(nu*n),
 sum a = 1) is solved by most-violating-pair coordinate descent
 (``smo_solve``).
@@ -29,7 +34,7 @@ _EPS = 1e-12
 
 _ROW_BLOCK = 128
 
-# entries in one step of an in-place pass over a distance or kernel matrix
+# entries in one step of an in-place pass over a distance matrix
 _STEP_ENTRIES = 1 << 20
 
 
@@ -128,22 +133,15 @@ def kernel_matrix(
     return np.exp(K, out=K)
 
 
-def gram(X: np.ndarray, gamma: float) -> np.ndarray:
-    """Symmetric Gram matrix; symmetry is enforced exactly, in place, a
-    step of rows at a time: entry (i, j) with i, j >= lo becomes the
-    mean of (i, j) and (j, i) in both triangles, and no step reads an
-    entry that an earlier step wrote."""
-    G = kernel_matrix(X, X, gamma)
-    n = len(G)
-    step = max(1, _STEP_ENTRIES // n)
-    for lo in range(0, n, step):
-        hi = lo + step
-        upper = G[lo:hi, lo:] + G[lo:, lo:hi].T
-        upper /= 2.0
-        G[lo:hi, lo:] = upper
-        G[lo:, lo:hi] = upper.T
-        del upper  # else it lives on while the next step's sum is built
-    return G
+def _expansion(X, rows, rows_sq, weights, gamma: float) -> np.ndarray:
+    """sum_i weights_i k(rows_i, x) for each row x of an (n, d) matrix,
+    a block of rows at a time; ``rows_sq`` holds the squared norms of
+    ``rows``."""
+
+    def expand(block, lo):
+        return kernel_matrix(block, rows, gamma, rows_sq) @ weights
+
+    return by_row_blocks(expand, np.atleast_2d(np.asarray(X, dtype=np.float64)))
 
 
 @dataclass(frozen=True)
@@ -166,7 +164,7 @@ def kernel_ridge_fit(
     if lam <= 0:
         raise DataError("ridge penalty must be positive")
     gamma = resolve_gamma(X, gamma)
-    G = gram(X, gamma)
+    G = kernel_matrix(X, X, gamma)
     try:
         weights = np.linalg.solve(G + lam * np.eye(len(X)), y)
     except np.linalg.LinAlgError as exc:
@@ -178,12 +176,13 @@ def kernel_ridge_fit(
 
 def kernel_ridge_predict(model: KernelRidge, X: np.ndarray) -> np.ndarray:
     """Predictions for the rows of an (n, d) matrix."""
-    return kernel_matrix(X, model.X, model.gamma, model.X_sq) @ model.dual_weights
+    return _expansion(X, model.X, model.X_sq, model.dual_weights, model.gamma)
 
 
 @dataclass(frozen=True)
 class OneClassModel:
-    """Fitted nu-one-class machine. Decision < 0 means anomaly."""
+    """Fitted nu-one-class machine over its support, the training rows
+    whose alpha is positive. Decision < 0 means anomaly."""
 
     support_vectors: np.ndarray = field(repr=False)
     support_sq: np.ndarray = field(repr=False)  # squared row norms of the support vectors
@@ -246,11 +245,16 @@ def one_class_fit(X: np.ndarray, nu: float, gamma: float | None = None) -> OneCl
     if not (1.0 / n <= nu <= 1.0):
         raise DataError("nu must lie in [1/n, 1]")
     gamma = resolve_gamma(X, gamma)
-    G = gram(X, gamma)
+    G = kernel_matrix(X, X, gamma)
     C = 1.0 / (nu * n)
     a = _initial_alphas(n, C)
-    iters, converged = smo_solve(np.ascontiguousarray(G), a, C, SMO_TOLERANCE, SMO_MAX_ITER)
-    g = G @ a
+    iters, converged = smo_solve(G, a, C, SMO_TOLERANCE, SMO_MAX_ITER)
+    keep = a > 0.0  # the solver zeroes an alpha exactly; a zero adds nothing
+    support = X[keep]
+    support_sq = np.sum(support * support, axis=1)
+    # the sum that ``one_class_decision`` computes, so that the margin SV
+    # that anchors rho decides exactly 0 there
+    g = _expansion(X, support, support_sq, a[keep], gamma)
     margin = (a > 1e-10) & (a < C - 1e-10)
     if np.any(margin):
         # Margin SVs should sit exactly at 0; the solver leaves them
@@ -261,9 +265,9 @@ def one_class_fit(X: np.ndarray, nu: float, gamma: float | None = None) -> OneCl
         sv = a > 1e-10
         rho = float(np.mean(g[sv]))
     return OneClassModel(
-        support_vectors=X,
-        support_sq=np.sum(X * X, axis=1),
-        alphas=a,
+        support_vectors=support,
+        support_sq=support_sq,
+        alphas=a[keep],
         rho=rho,
         gamma=gamma,
         converged=converged,
@@ -274,9 +278,5 @@ def one_class_fit(X: np.ndarray, nu: float, gamma: float | None = None) -> OneCl
 def one_class_decision(model: OneClassModel, X: np.ndarray) -> np.ndarray:
     """Sum_i a_i k(sv_i, x) - rho for each row x of an (n, d) matrix;
     negative flags an anomaly."""
-
-    def decide(block, lo):
-        K = kernel_matrix(block, model.support_vectors, model.gamma, model.support_sq)
-        return K @ model.alphas - model.rho
-
-    return by_row_blocks(decide, np.asarray(X, dtype=np.float64))
+    expansion = _expansion(X, model.support_vectors, model.support_sq, model.alphas, model.gamma)
+    return expansion - model.rho

@@ -346,11 +346,6 @@ def naive_kernel_matrix(X, Y, gamma):
     return np.exp(-gamma * naive_sq_dists(X, Y))
 
 
-def naive_gram(X, gamma):
-    G = naive_kernel_matrix(X, X, gamma)
-    return (G + G.T) / 2.0
-
-
 def naive_estimate_eps(X, k):
     kth = np.sqrt(np.partition(naive_sq_dists(X, X), k, axis=1)[:, k])
     return float(np.quantile(kth, 0.95))

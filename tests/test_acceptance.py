@@ -31,7 +31,7 @@ from ethsentinel.clustering import DbscanParams, dbscan
 from ethsentinel.config import EngineConfig
 from ethsentinel.ensemble import build_grids, engine_from_grids, run_batch, stream_advance
 from ethsentinel.ingest import parse_explorer_json
-from ethsentinel.kernels import gram, one_class_decision, one_class_fit
+from ethsentinel.kernels import one_class_decision, one_class_fit
 from ethsentinel.predictive import (
     ArimaOrder,
     arima_fit,

@@ -409,6 +409,25 @@ def test_fit_bank_raises_when_every_detector_fails(monkeypatch):
         ensemble.fit_bank(build_grids(txs, config), config)
 
 
+def test_every_ocsvm_payload_keeps_fewer_rows_than_its_subsample():
+    # two days of cells: every group trains on a full OCSVM subsample,
+    # and keeps only its support vectors
+    config = EngineConfig(
+        predictive_detectors=(), reduction_detectors=(), clustering_detectors=("ocsvm",)
+    )
+    txs, _ = small_stream(seed=3, duration=2 * 86400)
+    grids = build_grids(txs, config)
+    detectors, warnings = ensemble.fit_bank(grids, config)
+    assert warnings == []
+    assert len(detectors) == len(config.features) + 1
+    group_values = {group: values for group, values, _ in ensemble._groups(grids, config)}
+    for det in detectors:
+        frame, model = det.payload["frame"], det.payload["model"]
+        _, rows = ensemble.WindowFrame.fit(group_values[det.group], frame.cells, frame.stride)
+        assert len(rows) > config.boundary_subsample, det.detector_id
+        assert len(model.support_vectors) < config.boundary_subsample, det.detector_id
+
+
 def test_every_detector_flags_where_its_score_exceeds_its_threshold(default_bank):
     config, grids, detectors, _ = default_bank
     group_values = {group: values for group, values, _ in ensemble._groups(grids, config)}

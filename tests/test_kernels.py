@@ -3,7 +3,7 @@ one-class SMO solver checked against an independent dense-grid dual
 oracle on tiny problems."""
 
 import ast
-import itertools
+import functools
 import math
 from pathlib import Path
 
@@ -15,7 +15,6 @@ from ethsentinel.errors import DataError
 from ethsentinel.kernels import (
     DistinctRows,
     by_row_blocks,
-    gram,
     kernel_matrix,
     kernel_ridge_fit,
     kernel_ridge_predict,
@@ -24,7 +23,7 @@ from ethsentinel.kernels import (
     resolve_gamma,
     sq_dists,
 )
-from oracles import naive_gram, naive_kernel_matrix, naive_sq_dists, traced_peak
+from oracles import naive_kernel_matrix, naive_sq_dists, traced_peak
 
 
 def dual_objective(G, a):
@@ -111,7 +110,10 @@ def test_in_place_distances_and_kernels_equal_the_whole_matrix_forms(n):
     assert np.array_equal(sq_dists(B[:1], X), naive_sq_dists(B[:1], X))
     assert np.array_equal(sq_dists(X, X), naive_sq_dists(X, X))  # A is B
     assert np.array_equal(kernel_matrix(X, B, 0.3), naive_kernel_matrix(X, B, 0.3))
-    assert np.array_equal(gram(X, 0.3), naive_gram(X, 0.3))
+    G = kernel_matrix(X, X, 0.3)
+    assert np.array_equal(G, naive_kernel_matrix(X, X, 0.3))
+    # the fits take the Gram matrix as computed: it must be exactly symmetric
+    assert np.array_equal(G, G.T)
 
 
 def test_distances_and_gram_hold_one_square_buffer():
@@ -119,7 +121,7 @@ def test_distances_and_gram_hold_one_square_buffer():
     X = rows_with_duplicates(n, 15, 2)
     bound = 1.5 * n * n * 8
     assert traced_peak(lambda: sq_dists(X, X)) < bound
-    assert traced_peak(lambda: gram(X, 0.1)) < bound
+    assert traced_peak(lambda: kernel_matrix(X, X, 0.1)) < bound
 
 
 def distinct_rows_case(name):
@@ -176,7 +178,7 @@ def test_only_distinct_rows_call_np_unique_over_rows():
 def test_gram_symmetry_and_unit_diagonal():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((20, 3))
-    G = gram(X, resolve_gamma(X))
+    G = kernel_matrix(X, X, resolve_gamma(X))
     assert np.allclose(G, G.T)
     assert np.allclose(np.diag(G), 1.0)
     assert np.all(G > 0)
@@ -207,7 +209,7 @@ def test_kernel_ridge_matches_linear_solve_oracle():
     lam = 0.1
     model = kernel_ridge_fit(X, y, lam, gamma=0.5)
     # oracle: alpha = (G + lam I)^-1 y via numpy
-    G = gram(X, 0.5)
+    G = kernel_matrix(X, X, 0.5)
     alpha = np.linalg.solve(G + lam * np.eye(30), y)
     preds = np.array([kernel_ridge_predict(model, x[None, :])[0] for x in X])
     assert np.allclose(preds, G @ alpha, atol=1e-8)
@@ -222,26 +224,39 @@ def test_kernel_ridge_interpolates_at_tiny_lambda():
     assert np.allclose(preds, y, atol=1e-5)
 
 
+def dense_grid_dual_minimum(G, C, steps=2000):
+    """The least dual objective over a grid of the 3-point simplex
+    a0 + a1 + a2 = 1 with every a_i in [0, C]."""
+    a0, a1 = np.meshgrid(C * np.arange(steps + 1) / steps, C * np.arange(steps + 1) / steps)
+    a = np.stack([a0.ravel(), a1.ravel(), 1.0 - a0.ravel() - a1.ravel()], axis=1)
+    a = a[(a[:, 2] >= 0.0) & (a[:, 2] <= C)]
+    return float(np.min(0.5 * np.einsum("ij,jk,ik->i", a, G, a)))
+
+
+def support_dual_objective(model):
+    # the model keeps only the rows with a positive alpha: a zero alpha
+    # adds nothing to the objective
+    G = kernel_matrix(model.support_vectors, model.support_vectors, model.gamma)
+    return dual_objective(G, model.alphas)
+
+
 def test_smo_matches_dense_grid_oracle_n3():
     # n=3, nu=1/2 -> C=2/3; exhaustive grid over the constrained simplex
     rng = np.random.default_rng(4)
     X = rng.standard_normal((3, 2))
     model = one_class_fit(X, nu=0.5)
-    G = gram(X, model.gamma)
-    C = 1.0 / (0.5 * 3)
-    best = None
-    steps = 2000
-    for i in range(steps + 1):
-        a0 = C * i / steps
-        for j in range(steps + 1):
-            a1 = C * j / steps
-            a2 = 1.0 - a0 - a1
-            if not (0.0 <= a2 <= C):
-                continue
-            val = dual_objective(G, np.array([a0, a1, a2]))
-            if best is None or val < best:
-                best = val
-    assert dual_objective(G, model.alphas) <= best + 1e-6
+    best = dense_grid_dual_minimum(kernel_matrix(X, X, model.gamma), 1.0 / (0.5 * 3))
+    assert support_dual_objective(model) <= best + 1e-6
+
+
+def test_smo_matches_dense_grid_oracle_n3_with_a_zero_alpha():
+    # at gamma 0.1 the middle of three collinear points is the most
+    # similar to the others, so the optimum puts no weight on it
+    X = np.array([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+    model = one_class_fit(X, nu=0.5, gamma=0.1)
+    assert np.array_equal(model.support_vectors, X[[0, 2]])
+    best = dense_grid_dual_minimum(kernel_matrix(X, X, 0.1), 1.0 / (0.5 * 3))
+    assert support_dual_objective(model) <= best + 1e-6
 
 
 def test_smo_dual_feasibility_exact():
@@ -281,3 +296,68 @@ def test_one_class_rejects_bad_nu():
         one_class_fit(X, 0.01)  # below 1/n
     with pytest.raises(DataError):
         one_class_fit(X, 1.5)
+
+
+@functools.cache
+def support_case(name):
+    """A one-class fit at the detector's nu on 2048 training rows, the
+    OCSVM subsample size: dense rows, or mostly-zero ones, most of which
+    repeat, as the windows of a sparse account do. With the rows, the
+    full alpha vector of the same dual, solved here from its start."""
+    rng = np.random.default_rng(10)
+    if name == "dense":
+        X = rng.standard_normal((2048, 5))
+    else:
+        X = np.where(rng.random((2048, 5)) < 0.05, rng.integers(1, 4, (2048, 5)), 0).astype(float)
+    nu = 0.02
+    model = one_class_fit(X, nu)
+    C = 1.0 / (nu * len(X))
+    full = kernels._initial_alphas(len(X), C)
+    G = kernel_matrix(X, X, model.gamma)
+    kernels.smo_solve(G, full, C, kernels.SMO_TOLERANCE, kernels.SMO_MAX_ITER)
+    return X, model, full
+
+
+@pytest.mark.parametrize("name", ["dense", "mostly_zero"])
+def test_one_class_model_keeps_only_positive_alphas(name):
+    _, model, _ = support_case(name)
+    assert np.all(model.alphas > 0.0)
+
+
+@pytest.mark.parametrize("name", ["dense", "mostly_zero"])
+def test_one_class_model_keeps_fewer_rows_than_it_trained_on(name):
+    X, model, _ = support_case(name)
+    assert len(model.support_vectors) < len(X)
+    assert len(model.support_sq) == len(model.alphas) == len(model.support_vectors)
+
+
+@pytest.mark.parametrize("name", ["dense", "mostly_zero"])
+def test_one_class_support_flags_like_the_full_alpha_sum(name):
+    X, model, full = support_case(name)
+    support = full > 0.0
+    assert np.array_equal(model.support_vectors, X[support])
+    assert np.array_equal(model.alphas, full[support])
+    rng = np.random.default_rng(11)
+    # the training rows hold the margin SV that anchors rho, which must
+    # decide exactly 0 in both sums, not a rounding error below it
+    queries = np.vstack([X, rng.standard_normal((512, 5)), 4.0 * rng.standard_normal((64, 5))])
+    # the full-alpha machine, its rho anchored at its least margin SV
+    C = 1.0 / (0.02 * len(X))
+    margin = (full > 1e-10) & (full < C - 1e-10)
+    rho = float(np.min((kernel_matrix(X, X, model.gamma) @ full)[margin]))
+    full_sum = kernel_matrix(queries, X, model.gamma) @ full - rho
+    assert np.array_equal(one_class_decision(model, queries) < 0.0, full_sum < 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 5755])
+def test_blocked_kernel_ridge_predict_equals_the_whole_matrix_form(n):
+    rng = np.random.default_rng(12)
+    X = rng.standard_normal((512, 5))
+    model = kernel_ridge_fit(X, np.sin(X.sum(axis=1)), 1.0)
+    queries = rng.standard_normal((n, 5))
+    whole = kernel_matrix(queries, model.X, model.gamma) @ model.dual_weights
+    # the two forms may round apart: on this fixture by up to 9e-16 at 2
+    # BLAS threads, and each moves by 5e-15 between 1 and 2 threads. The
+    # bound, 1e-9 of the largest dual weight, leaves a wide margin
+    atol = 1e-9 * np.abs(model.dual_weights).max()
+    np.testing.assert_allclose(kernel_ridge_predict(model, queries), whole, rtol=0, atol=atol)
