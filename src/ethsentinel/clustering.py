@@ -102,8 +102,13 @@ def kmeans_score(model: KMeansModel, X: np.ndarray) -> np.ndarray:
 
 def silhouette_score(X: np.ndarray, labels: np.ndarray) -> float:
     """Mean silhouette over all points (O(n^2), caller subsamples)."""
-    n = len(X)
-    dist = np.sqrt(sq_dists(X, X))
+    return _silhouette(np.sqrt(sq_dists(X, X)), labels)
+
+
+def _silhouette(dist: np.ndarray, labels: np.ndarray) -> float:
+    """``silhouette_score`` of the points whose pairwise distances are
+    ``dist``, for a caller that scores many labelings of one point set."""
+    n = len(dist)
     uniq = np.unique(labels)
     if len(uniq) < 2:
         return 0.0
@@ -132,7 +137,8 @@ def silhouette_score(X: np.ndarray, labels: np.ndarray) -> float:
 
 
 def select_k(X: np.ndarray, k_min: int = 2, k_max: int = 10, seed: int = 0) -> int:
-    """Pick k by silhouette score; subsamples large inputs for the O(n^2) part."""
+    """Pick k by silhouette score; subsamples large inputs for the O(n^2)
+    part, whose distance matrix serves every k."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     rng = np.random.default_rng(seed)
     if len(X) > SILHOUETTE_POINTS:
@@ -141,11 +147,12 @@ def select_k(X: np.ndarray, k_min: int = 2, k_max: int = 10, seed: int = 0) -> i
     else:
         sample = X
     k_max = min(k_max, len(sample) - 1)
+    dist = np.sqrt(sq_dists(sample, sample))
     best_k, best_score = k_min, -np.inf
     for k in range(k_min, k_max + 1):
         model = kmeans_fit(sample, k, seed=seed)
         labels = np.argmin(sq_dists(sample, model.centroids), axis=1)
-        score = silhouette_score(sample, labels)
+        score = _silhouette(dist, labels)
         if score > best_score:
             best_k, best_score = k, score
     return best_k

@@ -7,8 +7,9 @@ squared-distance helper, and ``by_row_blocks`` builds a (rows x
 reference) matrix a block of rows at a time, so that no distance matrix
 grows with the square of a series; ``nearest`` selects the smallest
 entries of each row of such a block. ``DistinctRows`` is the one form
-of a matrix's distinct rows, which k-NN, DBSCAN, its eps estimate and
-the autoencoder work on. Scores take an (n, d) row matrix.
+of a matrix's distinct rows, found by a lexsort: k-NN, DBSCAN, its eps
+estimate and the autoencoder fit on them, and the isolation forest
+scores them. Scores take an (n, d) row matrix.
 
 Both kernel machines fit on ``kernel_matrix(X, X, gamma)``, which is
 exactly symmetric as computed, and evaluate sum_i w_i k(r_i, x) in
@@ -62,16 +63,28 @@ def sq_dists(A: np.ndarray, B: np.ndarray, B_sq: np.ndarray | None = None) -> np
     built in the buffer of ``A @ B.T``, a step of rows at a time, so its
     temporaries stay near ``_STEP_ENTRIES`` entries.
     """
+    return _distance_steps(A, B, B_sq, None)
+
+
+def _distance_steps(A, B, B_sq, gamma: float | None) -> np.ndarray:
+    """``sq_dists(A, B, B_sq)``, or with a gamma the RBF kernel of those
+    distances: each step of rows is doubled, subtracted from the norms,
+    clamped and, with a gamma, scaled and exponentiated before the next
+    step, while it is still in cache."""
     if B_sq is None:
         B_sq = np.sum(B * B, axis=1)
     A_sq = np.sum(A * A, axis=1)
     sq = A @ B.T
-    sq *= 2.0
     step = max(1, _STEP_ENTRIES // max(1, len(B)))
     for lo in range(0, len(A), step):
         rows = slice(lo, lo + step)
-        np.subtract(A_sq[rows, None] + B_sq, sq[rows], out=sq[rows])
-    np.maximum(sq, 0.0, out=sq)
+        block = sq[rows]
+        block *= 2.0
+        np.subtract(A_sq[rows, None] + B_sq, block, out=block)
+        np.maximum(block, 0.0, out=block)
+        if gamma is not None:
+            block *= -gamma
+            np.exp(block, out=block)
     return sq
 
 
@@ -88,11 +101,18 @@ def nearest(dist: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class DistinctRows:
-    """The distinct rows of an (n, d) matrix X, in ``np.unique``'s
-    lexicographic order: row j of X is ``rows[inverse[j]]``, distinct row
-    i stands for ``counts[i]`` rows of X, and ``sq`` holds the squared
+    """The distinct rows of an (n, d) matrix X in lexicographic order,
+    column 0 first: row j of X is ``rows[inverse[j]]``, distinct row i
+    stands for ``counts[i]`` rows of X, and ``sq`` holds the squared
     norms of the distinct rows, the ``B_sq`` of ``sq_dists``. A
-    permutation of X's rows changes only ``inverse``."""
+    permutation of X's rows changes only ``inverse``.
+
+    ``of`` gives the rows, counts and inverse of ``np.unique(X, axis=0,
+    return_inverse=True, return_counts=True)`` from one stable
+    ``np.lexsort`` over the columns and a comparison of neighbours in
+    that order. Rows equal as numbers are one distinct row, so rows that
+    differ only in the sign of a zero are one, and the first of them in
+    X stands for them all, where ``np.unique``'s quicksort keeps any."""
 
     rows: np.ndarray = field(repr=False)
     counts: np.ndarray = field(repr=False)  # int
@@ -101,9 +121,17 @@ class DistinctRows:
 
     @classmethod
     def of(cls, X: np.ndarray) -> DistinctRows:
-        rows, inverse, counts = np.unique(X, axis=0, return_inverse=True, return_counts=True)
-        # the inverse's shape under ``axis`` differs across numpy 2.x releases
-        return cls(rows, counts, inverse.reshape(-1), np.sum(rows * rows, axis=1))
+        n = len(X)
+        order = np.lexsort(X.T[::-1])  # lexsort's last key sorts first
+        ordered = X[order]
+        first = np.empty(n, dtype=bool)  # the first row of each run of equal rows
+        first[:1] = True
+        (ordered[1:] != ordered[:-1]).any(axis=1, out=first[1:])
+        group = first.cumsum() - 1  # the distinct row of each row of ``ordered``
+        inverse = np.empty(n, dtype=np.intp)
+        inverse[order] = group
+        rows = ordered[first]
+        return cls(rows, np.bincount(group), inverse, (rows * rows).sum(axis=1))
 
 
 def by_row_blocks(fn, A: np.ndarray) -> np.ndarray:
@@ -122,15 +150,13 @@ def kernel_matrix(
     X: np.ndarray, Y: np.ndarray, gamma: float, Y_sq: np.ndarray | None = None
 ) -> np.ndarray:
     """Cross-kernel matrix K_ij = exp(-gamma * |X_i - Y_j|^2), built in
-    the buffer of the distances; ``Y_sq``, the squared row norms of a
-    fixed Y, goes to ``sq_dists``."""
+    the buffer of the distances a step of rows at a time; ``Y_sq``, the
+    squared row norms of a fixed Y, is the ``B_sq`` of ``sq_dists``."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     if X.shape[1] != Y.shape[1]:
         raise DataError("kernel arguments must share a dimension")
-    K = sq_dists(X, Y, Y_sq)
-    K *= -gamma
-    return np.exp(K, out=K)
+    return _distance_steps(X, Y, Y_sq, gamma)
 
 
 def _expansion(X, rows, rows_sq, weights, gamma: float) -> np.ndarray:
@@ -232,7 +258,7 @@ def smo_solve(G, a, C, tol, max_iter):
         t = min(t, C - a[i], a[j])
         a[i] += t
         a[j] -= t
-        g += t * (G[:, i] - G[:, j])
+        g += t * (G[i] - G[j])  # rows, not strided columns: G is symmetric
         it += 1
     return it, converged
 

@@ -1,6 +1,11 @@
 """Dimensionality-reduction detector bank: PCA reconstruction error,
 isolation forest, and a windowed dense autoencoder.
 
+The isolation forest walks each distinct row (``kernels.DistinctRows``)
+through its trees once and gives every copy that row's score: a row's
+path depends on its values only, and the windows of a mostly-zero
+account repeat.
+
 PCA uses a cyclic Jacobi eigendecomposition of the covariance matrix.
 It stays although numpy's LAPACK is at hand: acceptance criterion 7
 pins it against the test-side polynomial-root oracle, and a LAPACK
@@ -171,14 +176,14 @@ def _grow_iso(X: np.ndarray, depth: int, limit: int, rng: np.random.Generator, n
     usable = np.flatnonzero(hi > lo)
     if len(usable) == 0:  # all points identical
         return index
-    f = int(rng.choice(usable))
+    # the draw of rng.choice(usable), without its argument checks
+    f = int(usable[rng.integers(len(usable))])
     threshold = float(rng.uniform(lo[f], hi[f]))
     mask = X[:, f] < threshold
-    if not mask.any() or mask.all():
-        return index
-    left = _grow_iso(X[mask], depth + 1, limit, rng, nodes)
-    right = _grow_iso(X[~mask], depth + 1, limit, rng, nodes)
-    nodes[index] = (f, threshold, left, right, 0.0)
+    if 0 < np.count_nonzero(mask) < n:
+        left = _grow_iso(X[mask], depth + 1, limit, rng, nodes)
+        right = _grow_iso(X[~mask], depth + 1, limit, rng, nodes)
+        nodes[index] = (f, threshold, left, right, 0.0)
     return index
 
 
@@ -217,10 +222,11 @@ def iforest_fit(
 
 def iforest_score(forest: IsolationForest, X: np.ndarray) -> np.ndarray:
     """Anomaly score 2^(-E[h(x)] / c(subsample)) of each row x of an
-    (n, d) matrix; higher is more anomalous."""
-    X = np.asarray(X, dtype=np.float64)
-    rows, width = X.shape
-    values = X.ravel()
+    (n, d) matrix; higher is more anomalous. A row's path depends on its
+    values only, so each distinct row walks the forest once."""
+    distinct = DistinctRows.of(np.asarray(X, dtype=np.float64))
+    rows, width = distinct.rows.shape
+    values = distinct.rows.ravel()
     # one entry per (tree, row), trees outer: every tree and row moves
     # down one level per step; no tree is deeper than the depth limit,
     # and leaves point to themselves
@@ -233,7 +239,8 @@ def iforest_score(forest: IsolationForest, X: np.ndarray) -> np.ndarray:
     # a running total, tree by tree in order: np.sum may add pairwise,
     # and the order sets the rounding of the mean
     mean_path = np.cumsum(paths, axis=0)[-1] / forest.tree_count
-    return 2.0 ** (-mean_path / average_path_length(forest.subsample_size))
+    scores = 2.0 ** (-mean_path / average_path_length(forest.subsample_size))
+    return scores[distinct.inverse]
 
 
 @dataclass(frozen=True)

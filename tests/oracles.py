@@ -219,6 +219,25 @@ def naive_best_split(X, y, min_leaf):
     return best[1], best[2]
 
 
+def naive_select_k(X, k_min=2, k_max=10, seed=0):
+    """Reference ``clustering.select_k``: the same subsample and k-means
+    fits, each k's labeling scored by ``silhouette_score``, which
+    measures the sample's distances anew for every k."""
+    from ethsentinel.clustering import SILHOUETTE_POINTS, kmeans_fit, silhouette_score
+    from ethsentinel.kernels import sq_dists
+
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    rng = np.random.default_rng(seed)
+    if len(X) > SILHOUETTE_POINTS:
+        X = X[rng.choice(len(X), size=SILHOUETTE_POINTS, replace=False)]
+    scores = {}
+    for k in range(k_min, min(k_max, len(X) - 1) + 1):
+        labels = np.argmin(sq_dists(X, kmeans_fit(X, k, seed=seed).centroids), axis=1)
+        scores[k] = silhouette_score(X, labels)
+    # the first k of the highest score
+    return max(scores, key=lambda k: (scores[k], -k)) if scores else k_min
+
+
 def naive_silhouette(X, labels):
     """Reference mean silhouette (Rousseeuw 1987), one point at a time."""
     from ethsentinel.kernels import sq_dists
@@ -332,6 +351,15 @@ def naive_css_residuals(w, c, phi, sphi, theta, stheta, s, start, history=None):
             pred -= stheta[j] * e[t - (j + 1) * s]
         e[t] = w[t] - pred
     return e
+
+
+def naive_distinct_rows(X):
+    """Reference ``kernels.DistinctRows.of``: ``np.unique`` over the rows,
+    which sorts them as one structured field per column."""
+    from ethsentinel.kernels import DistinctRows
+
+    rows, inverse, counts = np.unique(X, axis=0, return_inverse=True, return_counts=True)
+    return DistinctRows(rows, counts, inverse.reshape(-1), np.sum(rows * rows, axis=1))
 
 
 def naive_sq_dists(A, B):

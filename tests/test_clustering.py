@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from ethsentinel.clustering import (
+    SILHOUETTE_POINTS,
     DbscanParams,
+    _silhouette,
     dbscan,
     estimate_eps,
     kmeans_fit,
@@ -19,6 +21,7 @@ from oracles import (
     NOISE,
     naive_dbscan,
     naive_estimate_eps,
+    naive_select_k,
     naive_silhouette,
     same_partition,
     traced_peak,
@@ -163,3 +166,25 @@ def test_one_class_flags_far_point():
     assert flags[-1]  # far point flagged
     assert decisions[-1] < 0
     assert np.mean(flags[:10]) <= 0.4  # most training points pass
+
+
+def select_k_case(name):
+    """More rows than select_k scores, so it subsamples: four blobs, or a
+    mostly-zero matrix most of whose rows repeat."""
+    if name == "dense":
+        return blobs(14, [[0, 0], [4, 0], [0, 4], [4, 4]], 150, 0.8)
+    rng = np.random.default_rng(15)
+    return np.where(rng.random((600, 4)) < 0.1, rng.integers(1, 4, (600, 4)), 0).astype(float)
+
+
+@pytest.mark.parametrize("name", ["dense", "mostly_zero"])
+def test_select_k_scores_every_k_on_one_distance_matrix(name):
+    X = select_k_case(name)
+    assert len(X) > SILHOUETTE_POINTS
+    sample = X[np.random.default_rng(0).choice(len(X), size=SILHOUETTE_POINTS, replace=False)]
+    dist = np.sqrt(sq_dists(sample, sample))
+    for k in range(2, 11):
+        labels = np.argmin(sq_dists(sample, kmeans_fit(sample, k, seed=0).centroids), axis=1)
+        score = _silhouette(dist, labels)
+        assert score == silhouette_score(sample, labels) == naive_silhouette(sample, labels)
+    assert select_k(X, seed=0) == naive_select_k(X, seed=0)

@@ -2,6 +2,7 @@
 polynomial root oracle, PCA reconstruction, isolation forest score
 calibration, and autoencoder gradients against central differences."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -134,6 +135,43 @@ def test_iforest_single_row_and_leaf_root_match_oracle():
     assert np.array_equal(forest.roots, 2 * np.arange(10))
     rows = np.vstack([same[:3], X[:3]])
     assert np.array_equal(iforest_score(forest, rows), naive_iforest_score(same, 10, 16, 5, rows))
+
+
+def mostly_zero_rows(n, d, seed):
+    """Rows of a sparse account's windows: mostly zero, and most repeat."""
+    rng = np.random.default_rng(seed)
+    return np.where(rng.random((n, d)) < 0.05, rng.integers(1, 4, (n, d)), 0).astype(float)
+
+
+def test_iforest_scores_each_distinct_row_as_if_alone():
+    X = mostly_zero_rows(400, 8, 11)
+    assert len(np.unique(X, axis=0)) < len(X) / 2
+    forest = iforest_fit(X, 30, 64, seed=2)
+    scores = iforest_score(forest, X)
+    assert np.array_equal(scores, [iforest_score(forest, x[None, :])[0] for x in X])
+    assert np.array_equal(scores, naive_iforest_score(X, 30, 64, 2, X))
+    perm = np.random.default_rng(12).permutation(len(X))
+    assert np.array_equal(iforest_score(forest, X[perm]), scores[perm])
+    assert np.array_equal(iforest_score(forest, np.repeat(X, 3, axis=0)), np.repeat(scores, 3))
+
+
+class TakeSizes(np.ndarray):
+    """A node array that records how many entries each ``take`` reads."""
+
+    def take(self, indices, *args, **kwargs):
+        self.sizes.append(np.size(indices))
+        return np.asarray(self).take(indices, *args, **kwargs)
+
+
+def test_iforest_walks_each_distinct_row_once_per_tree():
+    X = np.repeat(mostly_zero_rows(400, 8, 13), 3, axis=0)
+    forest = iforest_fit(X, 25, 64, seed=3)
+    feature = forest.feature.view(TakeSizes)
+    feature.sizes = []
+    iforest_score(dataclasses.replace(forest, feature=feature), X)
+    m = len(np.unique(X, axis=0))
+    assert m < len(X) / 6
+    assert feature.sizes == [forest.tree_count * m] * forest.depth_limit
 
 
 def test_ae_gradients_match_central_differences():
