@@ -11,14 +11,17 @@ of a matrix's distinct rows, found by a lexsort: k-NN, DBSCAN, its eps
 estimate and the autoencoder fit on them, and the isolation forest
 scores them. Scores take an (n, d) row matrix.
 
-Both kernel machines fit on ``kernel_matrix(X, X, gamma)``, which is
-exactly symmetric as computed, and evaluate sum_i w_i k(r_i, x) in
-blocks of query rows. Kernel ridge keeps every training row; the
+Both kernel machines evaluate sum_i w_i k(r_i, x) in blocks of query
+rows. Kernel ridge fits on ``kernel_matrix(X, X, gamma)``, which is
+exactly symmetric as computed, and keeps every training row; the
 one-class machine keeps its support, the rows whose alpha is positive.
 
 The one-class dual (minimize 0.5*a'Ga s.t. 0 <= a_i <= 1/(nu*n),
 sum a = 1) is solved by most-violating-pair coordinate descent
-(``smo_solve``).
+(``smo_solve``; Platt 1998, Chang & Lin 2011) with no Gram matrix: a
+fit reads row i of G only where alpha_i starts non-zero or the solver
+moves it, and each row is one single-row ``kernel_matrix`` call,
+computed once per fit and kept.
 """
 
 from __future__ import annotations
@@ -229,14 +232,30 @@ def _initial_alphas(n: int, C: float) -> np.ndarray:
     return a
 
 
-def smo_solve(G, a, C, tol, max_iter):
-    """Minimize 0.5 a'Ga s.t. 0 <= a_i <= C, sum(a) = 1, in place on ``a``.
+def _kernel_rows(X: np.ndarray, gamma: float):
+    """Row i of the RBF Gram matrix of X, on demand: each row is one
+    single-row ``kernel_matrix`` call, so its bits do not depend on which
+    rows came before it, and it is kept for the rest of the fit."""
+    X_sq = np.sum(X * X, axis=1)
+    rows: dict[int, np.ndarray] = {}
+
+    def row(i: int) -> np.ndarray:
+        if i not in rows:
+            rows[i] = kernel_matrix(X[i : i + 1], X, gamma, X_sq)[0]
+        return rows[i]
+
+    return row
+
+
+def smo_solve(row, diag, g, a, C, tol, max_iter):
+    """Minimize 0.5 a'Qa s.t. 0 <= a_i <= C, sum(a) = 1, in place on ``a``
+    and on ``g``, the gradient Qa at the start. Q is symmetric: ``row(i)``
+    returns its row i and ``diag`` its diagonal, and only the rows of the
+    pairs the solver moves are read.
 
     Returns (iterations, converged).
     """
-    G = np.asarray(G, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
-    g = G @ a
     it = 0
     converged = False
     while it < max_iter:
@@ -251,14 +270,15 @@ def smo_solve(G, a, C, tol, max_iter):
         if violation < tol:
             converged = True
             break
-        eta = G[i, i] + G[j, j] - 2.0 * G[i, j]
+        Q_i, Q_j = row(i), row(j)
+        eta = diag[i] + diag[j] - 2.0 * Q_i[j]
         if eta < _EPS:
             eta = _EPS
         t = violation / eta
         t = min(t, C - a[i], a[j])
         a[i] += t
         a[j] -= t
-        g += t * (G[i] - G[j])  # rows, not strided columns: G is symmetric
+        g += t * (Q_i - Q_j)
         it += 1
     return it, converged
 
@@ -271,10 +291,13 @@ def one_class_fit(X: np.ndarray, nu: float, gamma: float | None = None) -> OneCl
     if not (1.0 / n <= nu <= 1.0):
         raise DataError("nu must lie in [1/n, 1]")
     gamma = resolve_gamma(X, gamma)
-    G = kernel_matrix(X, X, gamma)
     C = 1.0 / (nu * n)
     a = _initial_alphas(n, C)
-    iters, converged = smo_solve(G, a, C, SMO_TOLERANCE, SMO_MAX_ITER)
+    row = _kernel_rows(X, gamma)
+    start = np.flatnonzero(a)  # the about nu*n alphas that start non-zero
+    g = a[start] @ np.array([row(k) for k in start])  # the gradient Ga
+    # k(x, x) = 1 exactly for the RBF kernel
+    iters, converged = smo_solve(row, np.ones(n), g, a, C, SMO_TOLERANCE, SMO_MAX_ITER)
     keep = a > 0.0  # the solver zeroes an alpha exactly; a zero adds nothing
     support = X[keep]
     support_sq = np.sum(support * support, axis=1)

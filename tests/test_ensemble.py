@@ -967,7 +967,8 @@ def test_leaving_a_kind_out_equals_dropping_its_verdicts(one_day_bank, kind, ban
 
 def test_no_distance_matrix_grows_with_the_square_of_the_series(monkeypatch):
     # a refit on 2 days of cells and the batch scoring after it: every
-    # distance matrix stays within the reference cap squared
+    # distance or kernel matrix is a block of rows, the widest kNN's
+    # leave-self-out block of 129 rows against the whole series
     config = EngineConfig(
         predictive_detectors=("knn",),
         reduction_detectors=(),
@@ -978,17 +979,20 @@ def test_no_distance_matrix_grows_with_the_square_of_the_series(monkeypatch):
     n = len(next(iter(grids.values())))
     assert n > config.boundary_subsample
     sizes = []
-    sq_dists = kernels.sq_dists
 
-    def recording(A, B, B_sq=None):
-        out = sq_dists(A, B, B_sq)
-        sizes.append(out.size)
-        return out
+    def recording(fn):
+        def record(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            sizes.append(out.size)
+            return out
 
-    monkeypatch.setattr(kernels, "sq_dists", recording)
+        return record
+
+    monkeypatch.setattr(kernels, "sq_dists", recording(kernels.sq_dists))
+    monkeypatch.setattr(kernels, "kernel_matrix", recording(kernels.kernel_matrix))
     detectors, warnings = ensemble.fit_bank(grids, config)
     assert not warnings
     split = int(round(config.train_ratio * n))
     ensemble.score_bank(detectors, grids, config, predictive_start=split)
     assert sizes
-    assert max(sizes) <= config.boundary_subsample**2
+    assert max(sizes) <= (kernels._ROW_BLOCK + 1) * n

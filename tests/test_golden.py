@@ -50,28 +50,31 @@ def test_batch_report_digest(name):
     assert report_digest(base_rate, seed, days) == digest
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_batch_report_digest_with_two_blas_threads(name):
-    """The digests do not depend on the BLAS thread count, which the
-    benchmark pins to 1 and a test run leaves to the core count. The
-    count is read when numpy loads, hence a fresh interpreter."""
-    base_rate, seed, days, digest = GOLDEN[name]
+def with_two_blas_threads(function: str, *args) -> str:
+    """What this module's ``function(*args)`` returns, as printed by a
+    fresh interpreter with 2 BLAS threads. The benchmark pins the thread
+    count to 1 and a test run leaves it to the core count; it is read
+    when numpy loads, hence the fresh interpreter."""
     env = os.environ | {
         "OPENBLAS_NUM_THREADS": "2",
         "PYTHONPATH": os.pathsep.join(path for path in sys.path if path),
     }
-    code = (
-        f"from test_golden import report_digest; print(report_digest({base_rate}, {seed}, {days}))"
-    )
     result = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", f"from test_golden import {function}; print({function}{args!r})"],
         cwd=Path(__file__).resolve().parent,
         env=env,
         capture_output=True,
         text=True,
         check=True,
     )
-    assert result.stdout.strip() == digest
+    return result.stdout.strip()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_batch_report_digest_with_two_blas_threads(name):
+    """The digests do not depend on the BLAS thread count."""
+    base_rate, seed, days, digest = GOLDEN[name]
+    assert with_two_blas_threads("report_digest", base_rate, seed, days) == digest
 
 
 # two hours of database, 41 one-cell advances, one retrain (at advance
@@ -160,11 +163,21 @@ def test_arima_coefficient_digest():
     assert digest == COEFFICIENT_GOLDEN
 
 
-def test_stream_alarm_digest():
+def stream_alarm_digest() -> str:
     lines = stream_alarm_lines()
     assert lines  # the pin covers alarm records, not an empty file
     text = "".join(line + "\n" for line in lines)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == STREAM_GOLDEN
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_stream_alarm_digest():
+    assert stream_alarm_digest() == STREAM_GOLDEN
+
+
+def test_stream_alarm_digest_with_two_blas_threads():
+    """The replay refits every detector at its retrain, the one-class
+    machines from single-row kernel products among them."""
+    assert with_two_blas_threads("stream_alarm_digest") == STREAM_GOLDEN
 
 
 def load_tracing():

@@ -112,7 +112,7 @@ def test_in_place_distances_and_kernels_equal_the_whole_matrix_forms(n):
     assert np.array_equal(kernel_matrix(X, B, 0.3), naive_kernel_matrix(X, B, 0.3))
     G = kernel_matrix(X, X, 0.3)
     assert np.array_equal(G, naive_kernel_matrix(X, X, 0.3))
-    # the fits take the Gram matrix as computed: it must be exactly symmetric
+    # kernel ridge fits on the Gram matrix as computed: it must be exactly symmetric
     assert np.array_equal(G, G.T)
 
 
@@ -356,8 +356,13 @@ def support_case(name):
     model = one_class_fit(X, nu)
     C = 1.0 / (nu * len(X))
     full = kernels._initial_alphas(len(X), C)
-    G = kernel_matrix(X, X, model.gamma)
-    kernels.smo_solve(G, full, C, kernels.SMO_TOLERANCE, kernels.SMO_MAX_ITER)
+    # the same solver over a dense matrix of the rows the fit computes on demand
+    row = kernels._kernel_rows(X, model.gamma)
+    Q = np.array([row(i) for i in range(len(X))])
+    start = np.flatnonzero(full)
+    g = full[start] @ Q[start]
+    tol, max_iter = kernels.SMO_TOLERANCE, kernels.SMO_MAX_ITER
+    kernels.smo_solve(Q.__getitem__, np.ones(len(X)), g, full, C, tol, max_iter)
     return X, model, full
 
 
@@ -390,6 +395,38 @@ def test_one_class_support_flags_like_the_full_alpha_sum(name):
     rho = float(np.min((kernel_matrix(X, X, model.gamma) @ full)[margin]))
     full_sum = kernel_matrix(queries, X, model.gamma) @ full - rho
     assert np.array_equal(one_class_decision(model, queries) < 0.0, full_sum < 0.0)
+
+
+@pytest.mark.parametrize("name", ["dense", "mostly_zero"])
+def test_one_class_fit_holds_no_gram_matrix(name):
+    # the solver reads the kernel rows of the pairs it moves, not all n^2 entries
+    X, _, _ = support_case(name)
+    n = len(X)
+    assert traced_peak(lambda: one_class_fit(X, 0.02)) < 0.25 * n * n * 8
+
+
+@pytest.mark.parametrize("name", ["dense", "mostly_zero"])
+def test_one_class_fit_computes_each_kernel_row_once(name, monkeypatch):
+    X, model, _ = support_case(name)
+    n = len(X)
+    base, stride = X.__array_interface__["data"][0], X.strides[0]
+    rows = []
+    kernel_matrix_ = kernels.kernel_matrix
+
+    def recording(A, B, gamma, B_sq=None):
+        if np.shares_memory(B, X):
+            assert len(A) == 1, "a kernel product of more than one training row"
+            rows.append((A.__array_interface__["data"][0] - base) // stride)
+        return kernel_matrix_(A, B, gamma, B_sq)
+
+    monkeypatch.setattr(kernels, "kernel_matrix", recording)
+    refit = one_class_fit(X, 0.02)
+    assert refit.iterations == model.iterations
+    assert rows and all(0 <= i < n for i in rows)
+    assert len(rows) == len(set(rows))
+    # the rows of the starting alphas that are not 0, then two per iteration at most
+    start = np.count_nonzero(kernels._initial_alphas(n, 1.0 / (0.02 * n)))
+    assert len(rows) <= start + 2 * model.iterations
 
 
 @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 5755])

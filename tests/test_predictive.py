@@ -526,3 +526,14 @@ def test_hannan_rissanen_rejects_too_few_stage_two_rows():
     x = np.random.default_rng(0).standard_normal(60)
     with pytest.raises(DataError):
         arima_fit(x, ArimaOrder(1, 0, 1, (1, 0, 1, 40)))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the length check ignores the seasonal P and Q and their lags (ROADMAP item 5)",
+)
+def test_seasonal_fit_rejects_too_few_cells_for_its_coefficients():
+    # 5 coefficients on 10 stage-2 rows: the fit returns residual_rms 2.7e120
+    x = np.random.default_rng(0).standard_normal(60)
+    with pytest.raises(DataError):
+        arima_fit(x, ArimaOrder(1, 0, 1, (2, 0, 0, 25)))
