@@ -132,6 +132,8 @@ def cmd_detect_stream(args) -> int:
                     + "\n"
                 )
                 emitted += 1
+    for warning in engine.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     print(f"replayed {n - fit_cells} advances, {emitted} alarms -> {args.out}")
     return EXIT_OK
 

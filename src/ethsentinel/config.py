@@ -39,8 +39,7 @@ _ZERO_ALLOWED = ("sarima_period", "cart_depth", "kmeans_k", "seed")
 class EngineConfig:
     # series construction
     grid_step: int = 60
-    window_duration: int = 300
-    window_stride: int = 60
+    window_duration: int = 300  # a window of this span ends at every cell
     window_vote: str = "all"  # point flag rule over covering windows
     train_ratio: float = 0.7
     # streaming
@@ -119,8 +118,8 @@ class EngineConfig:
             raise DataError(f"arima_order must be three non-negative ints, got {order!r}")
         if self.mode not in (UNIVARIATE, MULTIVARIATE, BOTH):
             raise DataError(f"unknown mode {self.mode!r}")
-        if self.window_duration % self.grid_step or self.window_stride % self.grid_step:
-            raise DataError("window duration and stride must be multiples of the grid step")
+        if self.window_duration % self.grid_step:
+            raise DataError("window duration must be a multiple of the grid step")
         if self.window_vote not in ("any", "majority", "all"):
             raise DataError(f"unknown window vote rule {self.window_vote!r}")
         banks = {

@@ -106,19 +106,17 @@ def build_grids(transactions, config: EngineConfig) -> dict[str, TimeSeries]:
     return grids
 
 
-def _window_matrix(
-    values: np.ndarray, w: int, stride: int, first: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(matrix of flattened windows, start indices) for the windows on
-    the stride grid that start at or after ``first``.
+def _window_matrix(values: np.ndarray, w: int, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """(matrix of flattened windows, start indices) for the ``w``-cell
+    windows that start at or after ``first``, one starting at each cell.
 
     ``values`` may be a 1-D series or an (n, d) row matrix; a window of
     d-column rows flattens to a w*d vector. Only the requested windows
-    are copied out of a strided view of ``values``.
+    are copied out of a ``sliding_window_view`` of ``values``.
     """
     n = len(values)
     width = w * (values.shape[1] if values.ndim == 2 else 1)
-    starts = np.arange(-(-first // stride) * stride, n - w + 1, stride)
+    starts = np.arange(first, n - w + 1)
     if len(starts) == 0:
         return np.empty((0, width)), np.empty(0, dtype=int)
     view = sliding_window_view(values, w, axis=0)
@@ -138,27 +136,26 @@ def _cell_counts(lo: np.ndarray, hi: np.ndarray, cells: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class WindowFrame:
-    """The windows that the row kinds of one group share: windows of
-    ``cells`` cells every ``stride`` cells, standardized by the column
+    """The windows that the row kinds of one group share: a window of
+    ``cells`` cells ending at every cell, standardized by the column
     ``mean`` and ``std`` of the training windows. Frames compare by
     identity, so a detector kept from an earlier fit scores with its
     own frame, not with the one its group was refitted on."""
 
     cells: int
-    stride: int
     mean: np.ndarray = field(repr=False)
     std: np.ndarray = field(repr=False)
 
     @classmethod
-    def fit(cls, values: np.ndarray, cells: int, stride: int) -> tuple[WindowFrame, np.ndarray]:
+    def fit(cls, values: np.ndarray, cells: int) -> tuple[WindowFrame, np.ndarray]:
         """The frame fitted on every window of ``values``, with those
         windows standardized as read-only rows."""
-        matrix, _ = _window_matrix(values, cells, stride, 0)
+        matrix, _ = _window_matrix(values, cells, 0)
         if len(matrix) < 10:
             raise FitError("too few windows")
         rows, mean, std = standardize(matrix)
         rows.flags.writeable = False
-        return cls(cells, stride, mean, std), rows
+        return cls(cells, mean, std), rows
 
     def windows(self, values: np.ndarray, start: int) -> tuple[np.ndarray, ...]:
         """(rows, lo, hi, covering) of the windows that cover a cell of
@@ -167,7 +164,7 @@ class WindowFrame:
         number of windows covering each cell of the range. Only these
         windows are built."""
         w = self.cells
-        matrix, starts = _window_matrix(values, w, self.stride, max(0, start - w + 1))
+        matrix, starts = _window_matrix(values, w, max(0, start - w + 1))
         rows = (matrix - self.mean) / self.std
         rows.flags.writeable = False
         lo = np.maximum(starts, start) - start
@@ -593,7 +590,6 @@ def fit_bank(
     detectors: list[FittedDetector] = []
     warnings: list[str] = []
     kept = {det.detector_id: det for det in previous or ()}
-    s_cells = config.window_stride // config.grid_step
     for group, values, kinds in _groups(grids, config):
         train = values if predictive_train_cells is None else values[:predictive_train_cells]
         # the group's frames with their training rows, by window length; a
@@ -605,7 +601,7 @@ def fit_bank(
                 return _fit_predictive(kind, train, config, seed)
             w = DETECTOR_KINDS[kind].window(config)
             if w not in frames:
-                frames[w] = WindowFrame.fit(values, w, s_cells)
+                frames[w] = WindowFrame.fit(values, w)
             frame, rows = frames[w]
             return {"frame": frame, **_fit_row_detector(kind, rows, config, seed)}
 

@@ -115,20 +115,20 @@ class CssCarry:
     e: np.ndarray
 
 
-def _apply_differencing(values: np.ndarray, order: ArimaOrder) -> list[np.ndarray]:
-    """Chain of series after each differencing stage; last entry is the
-    fully differenced series. Regular differences first, then seasonal."""
-    stages = [np.asarray(values, dtype=np.float64)]
+def _apply_differencing(values: np.ndarray, order: ArimaOrder) -> np.ndarray:
+    """The fully differenced series: regular differences first, then
+    seasonal."""
+    w = np.asarray(values, dtype=np.float64)
     for _ in range(order.d):
-        if len(stages[-1]) < 2:
+        if len(w) < 2:
             raise DataError("series too short for differencing order")
-        stages.append(np.diff(stages[-1]))
+        w = np.diff(w)
     _, D, _, s = order.seasonal_part
     for _ in range(D):
-        if len(stages[-1]) <= s:
+        if len(w) <= s:
             raise DataError("series too short for seasonal differencing")
-        stages.append(stages[-1][s:] - stages[-1][:-s])
-    return stages
+        w = w[s:] - w[:-s]
+    return w
 
 
 def _recursion_start(order: ArimaOrder) -> int:
@@ -409,7 +409,7 @@ def arima_fit(values: np.ndarray, order: ArimaOrder) -> ArimaModel:
     values = np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(values)):
         raise NumericError("input series contains non-finite values")
-    w = _apply_differencing(values, order)[-1]
+    w = _apply_differencing(values, order)
     if len(w) < 10 * (order.p + order.q + 1):
         raise DataError("series too short for the requested order")
     params = _hannan_rissanen(w, order)
@@ -442,12 +442,12 @@ def arima_residuals(
     _, D, _, s = order.seasonal_part
     lag = order.d + D * s
     if carry is not None and lag <= start < len(values):
-        w_new = _apply_differencing(values[start - lag :], order)[-1]
+        w_new = _apply_differencing(values[start - lag :], order)
         w = np.concatenate((carry.w, w_new))
         e = _css_residuals(w, order, params, carry.e)
         offset = start
     else:
-        w = _apply_differencing(values, order)[-1]
+        w = _apply_differencing(values, order)
         e = _css_residuals(w, order, params)
         offset = lag + burn_in
     carry = CssCarry(w[len(w) - burn_in :], e[len(e) - burn_in :]) if len(w) >= burn_in else None

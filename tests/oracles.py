@@ -54,14 +54,14 @@ def same_partition(a, b):
     return len(set(mapping.values())) == len(mapping)
 
 
-def naive_window_matrix(values, w, stride):
-    """Reference windowing: every start on the stride grid, one
+def naive_window_matrix(values, w):
+    """Reference windowing: a window starting at every cell, one
     flattened slice each."""
     n = len(values)
     width = w * (values.shape[1] if values.ndim == 2 else 1)
     if n < w:
         return np.empty((0, width)), np.empty(0, dtype=int)
-    starts = np.arange(0, n - w + 1, stride)
+    starts = np.arange(0, n - w + 1)
     return np.stack([np.ravel(values[s : s + w]) for s in starts]), starts
 
 

@@ -115,6 +115,48 @@ def test_detect_stream_replay(workspace):
     assert hit
 
 
+def test_detect_stream_takes_a_grid_step_that_does_not_divide_60(workspace, capsys):
+    # a window ends at every grid cell, so --grid needs only to divide --window
+    ws = workspace
+    run("synth", "--config", ws / "synth.cfg", "--out", ws / "txs.csv",
+        "--labels", ws / "labels.csv")
+    cfg = ws / "stream.cfg"
+    cfg.write_text(SMALL_ENGINE_CFG + "database_span = 7200\n", encoding="utf-8")
+    assert run(
+        "detect", "stream", "--input", ws / "txs.csv", "--config", cfg,
+        "--grid", 120, "--window", 600, "--out", ws / "alarms.jsonl",
+    ) == 0
+    # 121 cells of 120 s, the first 60 of them in the database
+    assert "replayed 61 advances" in capsys.readouterr().out
+    records = [json.loads(line) for line in (ws / "alarms.jsonl").read_text().splitlines()]
+    assert records
+    assert all(rec["alarm"] is True and rec["ts"] % 120 == 0 for rec in records)
+
+
+def test_detect_stream_prints_the_engine_fit_warnings(workspace, capsys):
+    # ARIMA(0,0,0) fails on every feature at the first fit and at each retrain
+    ws = workspace
+    run("synth", "--config", ws / "synth.cfg", "--out", ws / "txs.csv",
+        "--labels", ws / "labels.csv")
+    cfg = ws / "stream.cfg"
+    cfg.write_text(
+        SMALL_ENGINE_CFG
+        + "predictive_detectors = arima,knn\narima_order = 0,0,0\n"
+        + "database_span = 7200\nretrain_interval = 3600\n",
+        encoding="utf-8",
+    )
+    out = ws / "alarms.jsonl"
+    assert run("detect", "stream", "--input", ws / "txs.csv", "--config", cfg, "--out", out) == 0
+    captured = capsys.readouterr()
+    assert "replayed 121 advances" in captured.out
+    warnings = captured.err.splitlines()
+    assert all(line.startswith("warning: ") for line in warnings)
+    assert all("arima:" in line and "fit failed" in line for line in warnings)
+    # 3 features at the first fit, then at each of the 2 retrains in 121 cells
+    assert len(warnings) == 9
+    assert sum(line.startswith("warning: retrain at ") for line in warnings) == 6
+
+
 def test_keep_failed_key_drops_failed_records(workspace):
     ws = workspace
     with open(EXPLORER_FIXTURE, encoding="utf-8") as fh:

@@ -15,7 +15,7 @@ from ethsentinel.errors import DataError
 def test_defaults_match_design_decisions():
     cfg = EngineConfig()
     assert cfg.grid_step == 60
-    assert cfg.window_duration == 300 and cfg.window_stride == 60
+    assert cfg.window_duration == 300
     assert cfg.train_ratio == 0.7
     assert cfg.database_span == 4 * 86400 == cfg.retrain_interval
     assert cfg.residual_multiplier == 3.0
@@ -30,6 +30,8 @@ def test_validation():
         EngineConfig(mode="sideways")
     with pytest.raises(DataError):
         EngineConfig(window_duration=301)  # not a multiple of the grid step
+    # any grid step that divides the window duration, not only those dividing 60
+    assert EngineConfig(grid_step=120, window_duration=600).window_duration == 600
     with pytest.raises(DataError):
         EngineConfig(window_vote="most")
     with pytest.raises(DataError):
@@ -102,7 +104,7 @@ def test_validation():
     # zero keeps its meaning where it has one; the boundaries of the ranges hold
     EngineConfig(sarima_period=0, cart_depth=0, kmeans_k=0, seed=0, dbscan_eps=0.0)
     EngineConfig(ocsvm_nu=1.0, residual_multiplier=0.0, train_ratio=0.5, pca_explained=1.0)
-    assert len(fields(EngineConfig)) == 42
+    assert len(fields(EngineConfig)) == 41
 
 
 def test_parse_overrides_and_types():
@@ -111,7 +113,6 @@ def test_parse_overrides_and_types():
         # tuning
         grid_step = 30
         window_duration = 300
-        window_stride = 30
         train_ratio = 0.8
         features = value,gasprice
         predictive_detectors = arima,knn
@@ -134,6 +135,9 @@ def test_parse_rejects_unknown_and_malformed():
         parse_config_text("grid_step 60")
     with pytest.raises(DataError):
         parse_config_text("grid_step = sixty")
+    # a window ends at every cell: there is no stride to set
+    with pytest.raises(DataError, match="'window_stride'"):
+        parse_config_text("window_stride = 60")
 
 
 def test_load_config_round_trip(tmp_path):

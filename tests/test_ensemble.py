@@ -423,7 +423,7 @@ def test_every_ocsvm_payload_keeps_fewer_rows_than_its_subsample():
     group_values = {group: values for group, values, _ in ensemble._groups(grids, config)}
     for det in detectors:
         frame, model = det.payload["frame"], det.payload["model"]
-        _, rows = ensemble.WindowFrame.fit(group_values[det.group], frame.cells, frame.stride)
+        _, rows = ensemble.WindowFrame.fit(group_values[det.group], frame.cells)
         assert len(rows) > config.boundary_subsample, det.detector_id
         assert len(model.support_vectors) < config.boundary_subsample, det.detector_id
 
@@ -443,7 +443,7 @@ def test_every_detector_flags_where_its_score_exceeds_its_threshold(default_bank
             flags = flags[first - start :]
         else:
             frame = payload["frame"]
-            rows, _ = ensemble._window_matrix(values, frame.cells, frame.stride, 0)
+            rows, _ = ensemble._window_matrix(values, frame.cells, 0)
             rows = (rows - frame.mean) / frame.std
             scores = kind.score(payload, rows)
             flags = ensemble._score_rows(det.kind, payload, rows)
@@ -478,7 +478,7 @@ def test_stream_tick_builds_only_windows_covering_new_cells(monkeypatch):
 def test_the_fallback_period_is_one_day_of_cells():
     # a constant series shows no period, so SARIMA and STL fall back to
     # one day: 288 cells of 300 s, inside the cap of 2000 // cycles
-    config = EngineConfig(grid_step=300, window_stride=300)
+    config = EngineConfig(grid_step=300)
     train = np.full(2000, 7.0)
     assert ensemble._resolve_period(train, config, 2) == 288
     assert ensemble._resolve_period(train, config, 3) == 288
@@ -558,9 +558,7 @@ def test_a_detector_kept_after_a_failed_refit_scores_with_its_own_frame(monkeypa
         frame = det.payload["frame"]
         values = group_values[det.group]
         start = len(values) - 1
-        matrix, _ = ensemble._window_matrix(
-            values, frame.cells, frame.stride, max(0, start - frame.cells + 1)
-        )
+        matrix, _ = ensemble._window_matrix(values, frame.cells, max(0, start - frame.cells + 1))
         assert np.array_equal(scored[id(det.payload)], (matrix - frame.mean) / frame.std)
 
 
@@ -589,7 +587,7 @@ def test_row_kinds_fit_and_score_one_read_only_frame_per_group_and_window(monkey
         assert det.payload.keys().isdisjoint({"mean", "std", "window_cells", "stride_cells"})
         frame = det.payload["frame"]
         # the frame holds its format and standardization, not the training rows
-        assert [f.name for f in dataclasses.fields(frame)] == ["cells", "stride", "mean", "std"]
+        assert [f.name for f in dataclasses.fields(frame)] == ["cells", "mean", "std"]
         assert frame.cells == ensemble.DETECTOR_KINDS[kind].window(config)
         assert not rows.flags.writeable
         shared_frame, shared_rows = frames.setdefault((det.group, frame.cells), (frame, rows))

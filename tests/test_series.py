@@ -72,8 +72,8 @@ def test_resample_preserves_total_mass(points, step):
 
 
 def test_window_matrix_overlap_membership(monkeypatch):
-    matrix, starts = _window_matrix(np.arange(10.0), 5, 1, 0)
-    # 10 cells, 5-cell windows, stride 1 -> 6 windows
+    matrix, starts = _window_matrix(np.arange(10.0), 5, 0)
+    # 10 cells, 5-cell windows, one ending at every cell -> 6 windows
     assert len(matrix) == 6
     assert matrix[0].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
     # cell 4 appears in windows starting at 0..4 (5 windows)
@@ -89,36 +89,34 @@ def test_window_matrix_overlap_membership(monkeypatch):
     for shape in [(23,), (23, 3), (3,), (3, 3)]:
         values = rng.standard_normal(shape)
         n = len(values)
-        for stride in (1, 2):
-            full, full_starts = naive_window_matrix(values, w, stride)
-            # first = 3 is off the stride-2 grid and rounds up to 4
-            for first in (0, 3, n // 2, n - 1):
-                got, got_starts = _window_matrix(values, w, stride, first)
-                keep = full_starts >= first
-                assert np.array_equal(got, full[keep])
-                assert np.array_equal(got_starts, full_starts[keep])
-            # mean 0 and std 1: the standardized windows are the windows
-            frame = ensemble.WindowFrame(w, stride, mean=0.0, std=1.0)
-            det = ensemble.FittedDetector(
-                "pca:g", "pca", ensemble.DetectorCategory.REDUCTION, "g", {"frame": frame}
-            )
-            for start in (0, n // 2, n - 1):
-                used = full_starts >= max(0, start - w + 1)
-                windows = frame.windows(values, start)
-                for vote in ("any", "majority", "all"):
-                    expected = naive_point_flags(
-                        full[used].sum(1) > 0, full_starts[used], w, n, start, vote
-                    )
-                    got = _window_point_flags(det, windows, vote)
-                    assert got.tolist() == expected.tolist()
+        full, full_starts = naive_window_matrix(values, w)
+        for first in (0, 3, n // 2, n - 1):
+            got, got_starts = _window_matrix(values, w, first)
+            keep = full_starts >= first
+            assert np.array_equal(got, full[keep])
+            assert np.array_equal(got_starts, full_starts[keep])
+        # mean 0 and std 1: the standardized windows are the windows
+        frame = ensemble.WindowFrame(w, mean=0.0, std=1.0)
+        det = ensemble.FittedDetector(
+            "pca:g", "pca", ensemble.DetectorCategory.REDUCTION, "g", {"frame": frame}
+        )
+        for start in (0, n // 2, n - 1):
+            used = full_starts >= max(0, start - w + 1)
+            windows = frame.windows(values, start)
+            for vote in ("any", "majority", "all"):
+                expected = naive_point_flags(
+                    full[used].sum(1) > 0, full_starts[used], w, n, start, vote
+                )
+                got = _window_point_flags(det, windows, vote)
+                assert got.tolist() == expected.tolist()
 
 
 def test_difference_orders():
     x = np.array([1.0, 4.0, 9.0, 16.0, 25.0])
-    assert _apply_differencing(x, ArimaOrder(0, 1, 0))[-1].tolist() == [3.0, 5.0, 7.0, 9.0]
-    assert _apply_differencing(x, ArimaOrder(0, 2, 0))[-1].tolist() == [2.0, 2.0, 2.0]
+    assert _apply_differencing(x, ArimaOrder(0, 1, 0)).tolist() == [3.0, 5.0, 7.0, 9.0]
+    assert _apply_differencing(x, ArimaOrder(0, 2, 0)).tolist() == [2.0, 2.0, 2.0]
     seasonal = ArimaOrder(0, 0, 0, (0, 1, 0, 4))
-    assert _apply_differencing(np.arange(8.0), seasonal)[-1].tolist() == [4.0, 4.0, 4.0, 4.0]
+    assert _apply_differencing(np.arange(8.0), seasonal).tolist() == [4.0, 4.0, 4.0, 4.0]
     with pytest.raises(DataError):
         _apply_differencing(x, ArimaOrder(0, 5, 0))
 
