@@ -10,6 +10,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from .errors import DataError
 from .ingest import FeatureKind
+from .predictive import ArimaOrder
 
 UNIVARIATE = "univariate"
 MULTIVARIATE = "multivariate"
@@ -138,6 +139,12 @@ class EngineConfig:
         wired = set().union(*self.group_kinds())
         if not wired:
             raise DataError(f"mode {self.mode!r} with features {self.features!r} wires no detector")
+        if "arima" in wired:
+            # sarima's seasonal part carries its model whatever the order
+            try:
+                ArimaOrder(*order)
+            except DataError as exc:
+                raise DataError(f"arima_order {order!r} gives arima no model: {exc}") from None
         for name in self.alarm_categories:
             if wired.isdisjoint(banks[DetectorCategory(name)][0]):
                 raise DataError(

@@ -300,26 +300,53 @@ def _cholesky_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _forward_substitution(chol.T[::-1, ::-1], y[::-1])[::-1]
 
 
+_CHOLESKY_BLOCK = 128
+
+
+def _cholesky_in_place(a: np.ndarray) -> None:
+    """Overwrite the symmetric positive definite ``a`` with its lower
+    Cholesky factor, strict upper triangle exactly 0, or raise
+    ``LinAlgError`` (Golub & Van Loan, section 4.2).
+
+    Left-looking, one block of columns at a time: the block takes off
+    what the columns before it explain, ``np.linalg.cholesky`` factors
+    its diagonal block and ``_forward_substitution`` solves the panel
+    below that. No buffer beyond one block column is allocated, where
+    ``np.linalg.cholesky(a)`` holds a copy and a new output besides
+    ``a``. A matrix of at most one block is a single
+    ``np.linalg.cholesky`` call, so it keeps that call's bits.
+    """
+    for lo in range(0, len(a), _CHOLESKY_BLOCK):
+        hi = lo + _CHOLESKY_BLOCK
+        a[lo:, lo:hi] -= a[lo:, :lo] @ a[lo:hi, :lo].T
+        diag = a[lo:hi, lo:hi] = np.linalg.cholesky(a[lo:hi, lo:hi])
+        a[hi:, lo:hi] = _forward_substitution(diag, a[hi:, lo:hi].T).T
+        # _cholesky_solve reads whole diagonal blocks, upper triangle too
+        a[lo:hi, hi:] = 0.0
+
+
 def _long_ar_residuals(w: np.ndarray, m: int) -> np.ndarray:
     """Residuals of the least-squares AR(m) fit with intercept of
     ``w[m:]`` on its m lags, zero over the first m cells.
 
     The fit solves the normal equations: the Gram comes from shifted
-    sums of ``w`` (``_long_ar_gram``), is scaled to unit diagonal, and
-    its one Cholesky factor both checks the pivots and solves the
-    system. ``lstsq`` on the (n-m) x (m+1) design solves it instead when
-    the scaled Gram has no Cholesky factor or a pivot below
-    ``_GRAM_PIVOT_FLOOR``, where squaring the condition number could
-    cost the solution its digits. Only that path builds the design.
+    sums of ``w`` (``_long_ar_gram``), is scaled to unit diagonal and
+    factored in place (``_cholesky_in_place``), so the one (m+1)-square
+    buffer both checks the pivots and solves the system. ``lstsq`` on
+    the (n-m) x (m+1) design solves it instead when the scaled Gram has
+    no Cholesky factor or a pivot below ``_GRAM_PIVOT_FLOOR``, where
+    squaring the condition number could cost the solution its digits.
+    Only that path builds the design.
     """
     n = len(w)
-    gram, rhs = _long_ar_gram(w, m)
-    scale = np.sqrt(gram.diagonal())
+    # the Gram, scaled and then factored in place: the one (m+1)-square buffer
+    chol, rhs = _long_ar_gram(w, m)
+    scale = np.sqrt(chol.diagonal())
     with np.errstate(divide="ignore", invalid="ignore"):
-        gram /= scale[:, None]  # in place: one (m+1)-square matrix less at the peak
-        gram /= scale
+        chol /= scale[:, None]
+        chol /= scale
         try:
-            chol = np.linalg.cholesky(gram)
+            _cholesky_in_place(chol)
             pivot = chol.diagonal().min() ** 2
         except np.linalg.LinAlgError:
             pivot = np.nan

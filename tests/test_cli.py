@@ -134,14 +134,15 @@ def test_detect_stream_takes_a_grid_step_that_does_not_divide_60(workspace, caps
 
 
 def test_detect_stream_prints_the_engine_fit_warnings(workspace, capsys):
-    # ARIMA(0,0,0) fails on every feature at the first fit and at each retrain
+    # ARIMA(9,0,9) needs 190 cells, more than the 120-cell database holds,
+    # so it fails on every feature at the first fit and at each retrain
     ws = workspace
     run("synth", "--config", ws / "synth.cfg", "--out", ws / "txs.csv",
         "--labels", ws / "labels.csv")
     cfg = ws / "stream.cfg"
     cfg.write_text(
         SMALL_ENGINE_CFG
-        + "predictive_detectors = arima,knn\narima_order = 0,0,0\n"
+        + "predictive_detectors = arima,knn\narima_order = 9,0,9\n"
         + "database_span = 7200\nretrain_interval = 3600\n",
         encoding="utf-8",
     )
@@ -218,13 +219,15 @@ def test_exit_codes(workspace, capsys):
         "detect", "batch", "--input", EXPLORER_FIXTURE, "--config", typo, "--out", ws / "r.jsonl"
     ) == 2
     # a kind listed twice, an alarm category with no detectors to vote
-    # (also once mode applies), or a config that wires no detector
+    # (also once mode applies), a config that wires no detector, or an
+    # arima detector whose order has no term
     for extra in (
         "predictive_detectors = knn,knn",
         "alarm_categories = clustering\nclustering_detectors =",
         "alarm_categories = predictive\nmode = multivariate",
         "alarm_categories = reduction\nreduction_detectors = ae\nmode = multivariate",
         "mode = multivariate\nfeatures = value",
+        "predictive_detectors = arima\narima_order = 0,0,0",
     ):
         skewed = ws / "skewed.cfg"
         skewed.write_text(SMALL_ENGINE_CFG + extra + "\n", encoding="utf-8")

@@ -67,6 +67,9 @@ def test_validation():
         {"alarm_categories": ("predictve",)},
         {"arima_order": (1, 1)},
         {"arima_order": (1, -1, 1)},
+        # with no AR, MA or differencing term every arima fit would fail
+        {"arima_order": (0, 0, 0)},
+        {"arima_order": (0, 0, 0), "predictive_detectors": ("arima", "sarima")},
         # a kind listed twice would fit twins under one id that both vote
         {"predictive_detectors": ("knn", "knn")},
         {"reduction_detectors": ("pca", "iforest", "pca")},
@@ -101,6 +104,10 @@ def test_validation():
         alarm_categories=("reduction",), reduction_detectors=("ae", "pca"), mode="multivariate"
     )
     assert EngineConfig(mode="univariate", features=("value",))
+    # sarima's seasonal part carries the model, and an unwired arima fits nothing
+    assert EngineConfig(arima_order=(0, 0, 0), predictive_detectors=("sarima", "knn"))
+    assert EngineConfig(arima_order=(0, 0, 0), mode="multivariate")
+    assert EngineConfig(arima_order=(0, 1, 0), predictive_detectors=("arima",))
     # zero keeps its meaning where it has one; the boundaries of the ranges hold
     EngineConfig(sarima_period=0, cart_depth=0, kmeans_k=0, seed=0, dbscan_eps=0.0)
     EngineConfig(ocsvm_nu=1.0, residual_multiplier=0.0, train_ratio=0.5, pca_explained=1.0)

@@ -26,6 +26,7 @@ from ethsentinel.predictive import (
     ArimaOrder,
     _best_split,
     _candidate_orders,
+    _cholesky_in_place,
     _lag_pairs,
     _lagged,
     _long_ar_gram,
@@ -47,6 +48,7 @@ from oracles import (
     naive_css_residuals,
     naive_long_ar_design,
     naive_long_ar_residuals,
+    rss_growth,
     traced_peak,
 )
 
@@ -147,9 +149,11 @@ def sparse_like_input():
     [
         dense_gaslimit_sarima_input,
         lambda: (simulate_arma(0.5, 0.3, 4000, 0), 36),
+        # 301 columns: two whole 128-column blocks of the factor and a part
+        lambda: (simulate_arma(0.5, 0.3, 4000, 1), 300),
         sparse_like_input,
     ],
-    ids=["dense-gaslimit-sarima", "arma11", "sparse-like"],
+    ids=["dense-gaslimit-sarima", "arma11", "arma11-three-blocks", "sparse-like"],
 )
 def test_long_ar_residuals_match_lstsq_oracle(make_input):
     w, m = make_input()
@@ -182,6 +186,52 @@ def test_long_ar_holds_no_design():
     m = 1440
     w = trending_series(5759, 0)
     assert traced_peak(lambda: _long_ar_residuals(w, m)) < 2.5 * (m + 1) ** 2 * 8
+
+
+def scaled_gram(w, m):
+    gram, _ = _long_ar_gram(w, m)
+    scale = np.sqrt(gram.diagonal())
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero columns
+        return gram / scale[:, None] / scale
+
+
+@pytest.mark.parametrize("m", [1, 2, 27, 38, 100, 127])
+def test_one_block_factor_is_lapacks(m):
+    # every non-seasonal long AR has m <= 38: one np.linalg.cholesky call
+    gram = scaled_gram(trending_series(2000, m), m)
+    chol = gram.copy()
+    _cholesky_in_place(chol)
+    assert np.array_equal(chol, np.linalg.cholesky(gram))
+
+
+def test_blocked_factor_matches_lapack():
+    m = 1440
+    gram = scaled_gram(trending_series(5759, 0), m)
+    chol = gram.copy()
+    _cholesky_in_place(chol)
+    expected = np.linalg.cholesky(gram)
+    np.testing.assert_allclose(chol, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
+    # _cholesky_solve reads whole diagonal blocks, so the zeros must be exact
+    assert not np.triu(chol, 1).any()
+
+
+def test_long_ar_factors_its_gram_in_place():
+    # np.linalg.cholesky would add a LAPACK copy, which tracemalloc cannot
+    # see, and a new output to the Gram: three (m+1)-square matrices
+    m = 1440
+    w = trending_series(5759, 0)
+    assert traced_peak(lambda: _long_ar_residuals(w, m)) < 1.5 * (m + 1) ** 2 * 8
+    setup = "\n".join(
+        (
+            "import numpy as np",
+            "from ethsentinel.predictive import _long_ar_residuals",
+            "rng = np.random.default_rng(0)",
+            "n = 5759",
+            "w = 3.0 + 0.1 * np.cumsum(rng.standard_normal(n)) + rng.standard_normal(n)",
+            "_long_ar_residuals(w[:1000], 300)",  # loads BLAS and LAPACK at a small size
+        )
+    )
+    assert rss_growth(setup, f"_long_ar_residuals(w, {m})") < 1.6 * (m + 1) ** 2 * 8
 
 
 def counting_lstsq(monkeypatch):
@@ -222,6 +272,41 @@ def test_ill_posed_long_ar_falls_back_to_lstsq(monkeypatch, make_series):
     calls = counting_lstsq(monkeypatch)
     assert np.array_equal(_long_ar_residuals(x, 27), expected)
     assert calls == [(373, 28)]
+
+
+def late_spike():
+    # lags 1 to 200 see the spike, each in its own row; lags 201 to 300
+    # are zero columns, whose scaled pivots are NaN
+    x = np.zeros(1000)
+    x[799] = 1.0
+    return x
+
+
+def periodic(noise):
+    # a random pattern of 150 cells repeated: lag 150 is a constant less
+    # lags 1 to 149, and lag 151 + k repeats lag 1 + k
+    rng = np.random.default_rng(0)
+    x = np.tile(rng.standard_normal(150), 8)
+    return x + noise * rng.standard_normal(len(x))
+
+
+@pytest.mark.parametrize(
+    "make_series",
+    # a NaN pivot, no factor (LinAlgError) and, with noise, a smallest
+    # scaled pivot near 1e-10, each first in the factor's second block
+    [late_spike, lambda: periodic(0.0), lambda: periodic(1e-5)],
+    ids=["late-spike", "periodic", "near-periodic"],
+)
+def test_long_ar_falls_back_past_the_first_block(monkeypatch, make_series):
+    x = make_series()
+    m = 300
+    # the first 128 columns alone factor well
+    head = np.linalg.cholesky(scaled_gram(x, m)[:128, :128])
+    assert head.diagonal().min() ** 2 > 0.1
+    expected = naive_long_ar_residuals(x, m)
+    calls = counting_lstsq(monkeypatch)
+    assert np.array_equal(_long_ar_residuals(x, m), expected)
+    assert calls == [(len(x) - m, m + 1)]
 
 
 def test_sarima_fit_solves_only_stage_two_by_lstsq(monkeypatch):
