@@ -8,11 +8,12 @@ x_t = c + phi_1 x_{t-1} + ... - theta_1 e_{t-1} - ...  (lagged errors
 subtracted). Estimation is Hannan-Rissanen (long-AR residual proxy,
 then least squares) followed by one Gauss-Newton pass on the
 conditional sum of squares; deterministic, no optimizer dependency.
-The long AR, with m = P*s lags for SARIMA, solves its normal
-equations by one Cholesky factor of a Gram built from shifted sums of
-the series, without its lag design; ``lstsq`` stays for a nearly
-rank-deficient long AR and for the small second-stage regression,
-whose design, like the lag pairs of k-NN and CART, ``_lagged`` builds.
+The long AR of stage 1 regresses on the lags where the model's
+AR(infinity) weights sit (``_stage_one_lags``): 1 to J and, for SARIMA,
+k*s to k*s + J at each seasonal lag k*s, with J = ceil(10 log10 n). At
+a daily period on 5759 cells that is 77 lags, not every lag up to P*s.
+Each stage solves one ``lstsq`` on a design that ``_lagged`` builds,
+as it builds the lag pairs of k-NN and CART.
 Code reads an order's seasonal part through ``ArimaOrder.seasonal_part``
 alone; a non-seasonal order's (0, 0, 0, 1) adds no term, so one path
 serves ARIMA and SARIMA.
@@ -34,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, FitError, NumericError
 from .series import rms
@@ -237,128 +237,36 @@ def _lstsq(design: np.ndarray, target: np.ndarray) -> np.ndarray:
         raise FitError(f"least squares failed: {exc}") from exc
 
 
-# The k-th pivot of the column-scaled Gram is 1 - R^2 of design column k
-# regressed on the columns before it, so a pivot below 1e-4 means some
-# lag is 99.99% explained by the others. The normal equations' residuals
-# drift from lstsq's by about 1e-15 / pivot relative to their scale (a
-# sine plus noise: 6e-12 at pivot 2e-4, 5e-6 at 2e-10), so above the
-# floor they stay near 1e-11. A rank-deficient design has no factor, a
-# pivot near rounding level or, for a zero column, a NaN one; the
-# benchmark workloads' long-AR designs stay above 0.27.
-_GRAM_PIVOT_FLOOR = 1e-4
+def _stage_one_lags(order: ArimaOrder, n: int) -> list[int]:
+    """The lags of the long AR behind Hannan-Rissanen stage 1 on ``n``
+    cells.
 
-
-def _long_ar_gram(w: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """``design.T @ design`` and ``design.T @ w[m:]`` for the long AR's
-    (n-m) x (m+1) design (an intercept column, then lags 1 to m),
-    built from shifted sums of ``w`` without the design.
-
-    A lag column is the one before it shifted by one cell, so entry
-    (j+1, l+1) of the lag block is entry (j, l) with one product added
-    at the head of the series and one dropped at its tail (Hannan &
-    Rissanen 1982). The lag-1 row takes m dot products, each later row
-    one vector step, and the intercept row a ``cumsum``.
+    With J = ceil(10 log10 n) and m = max(J, p, q), they are 1 to m and,
+    for a seasonal order, k*s to k*s + J for k = 1 to max(P, Q): a
+    multiplicative model's AR(infinity) weights sit at lags j + k*s for
+    small j (Box, Jenkins, Reinsel & Ljung 2015, ch. 9). Where that set
+    has no fewer lags than 1 to max(m, P*s, Q*s), as at a short period,
+    the lags are 1 to max(m, P*s, Q*s). Lags past n // 2 are dropped.
     """
-    n = len(w)
-    gram = np.empty((m + 1, m + 1))
-    sums = np.concatenate(([0.0], np.cumsum(w)))
-    lags = np.arange(1, m + 1)
-    gram[0, 0] = n - m
-    gram[0, 1:] = sums[n - lags] - sums[m - lags]  # lag column k sums w[m-k : n-k]
-    gram[1:, 0] = gram[0, 1:]
-    # correlate's entry i pairs w[i:] with the given slice: lag m - i
-    gram[1, 1:] = np.correlate(w[:-1], w[m - 1 : -1])[::-1]
-    gram[1:, 1] = gram[1, 1:]  # the recursion reads column 1
-    head = w[: m - 1][::-1]  # w[m-1-l] for l = 1 .. m-1
-    tail = w[n - m : n - 1][::-1]  # w[n-1-l]
-    for j in range(1, m):
-        gram[j + 1, 2:] = gram[j, 1:m] + w[m - 1 - j] * head - w[n - 1 - j] * tail
-    rhs = np.empty(m + 1)
-    rhs[0] = sums[n] - sums[m]
-    rhs[1:] = np.correlate(w[:-1], w[m:])[::-1]
-    return gram, rhs
+    P, _, Q, s = order.seasonal_part
+    J = int(math.ceil(10 * math.log10(max(n, 10))))
+    m = max(J, order.p, order.q)
+    contiguous = range(1, max(m, P * s, Q * s) + 1)
+    near_seasons = (k * s + j for k in range(1, max(P, Q) + 1) for j in range(J + 1))
+    seasonal = sorted({*range(1, m + 1), *near_seasons})
+    lags = seasonal if len(seasonal) < len(contiguous) else contiguous
+    return [lag for lag in lags if lag <= n // 2]
 
 
-_SUBSTITUTION_BLOCK = 64
-
-
-def _forward_substitution(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``lower @ x = b`` for a lower-triangular ``lower``, a block
-    of rows at a time: each block takes what the rows before it explain
-    off its right-hand side and solves its own diagonal block."""
-    x = np.empty_like(b)
-    for lo in range(0, len(b), _SUBSTITUTION_BLOCK):
-        hi = lo + _SUBSTITUTION_BLOCK
-        x[lo:hi] = np.linalg.solve(lower[lo:hi, lo:hi], b[lo:hi] - lower[lo:hi, :lo] @ x[:lo])
-    return x
-
-
-def _cholesky_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``chol @ chol.T @ x = b``. The back substitution on
-    ``chol.T`` is a forward one with rows and columns reversed."""
-    y = _forward_substitution(chol, b)
-    return _forward_substitution(chol.T[::-1, ::-1], y[::-1])[::-1]
-
-
-_CHOLESKY_BLOCK = 128
-
-
-def _cholesky_in_place(a: np.ndarray) -> None:
-    """Overwrite the symmetric positive definite ``a`` with its lower
-    Cholesky factor, strict upper triangle exactly 0, or raise
-    ``LinAlgError`` (Golub & Van Loan, section 4.2).
-
-    Left-looking, one block of columns at a time: the block takes off
-    what the columns before it explain, ``np.linalg.cholesky`` factors
-    its diagonal block and ``_forward_substitution`` solves the panel
-    below that. No buffer beyond one block column is allocated, where
-    ``np.linalg.cholesky(a)`` holds a copy and a new output besides
-    ``a``. A matrix of at most one block is a single
-    ``np.linalg.cholesky`` call, so it keeps that call's bits.
-    """
-    for lo in range(0, len(a), _CHOLESKY_BLOCK):
-        hi = lo + _CHOLESKY_BLOCK
-        a[lo:, lo:hi] -= a[lo:, :lo] @ a[lo:hi, :lo].T
-        diag = a[lo:hi, lo:hi] = np.linalg.cholesky(a[lo:hi, lo:hi])
-        a[hi:, lo:hi] = _forward_substitution(diag, a[hi:, lo:hi].T).T
-        # _cholesky_solve reads whole diagonal blocks, upper triangle too
-        a[lo:hi, hi:] = 0.0
-
-
-def _long_ar_residuals(w: np.ndarray, m: int) -> np.ndarray:
-    """Residuals of the least-squares AR(m) fit with intercept of
-    ``w[m:]`` on its m lags, zero over the first m cells.
-
-    The fit solves the normal equations: the Gram comes from shifted
-    sums of ``w`` (``_long_ar_gram``), is scaled to unit diagonal and
-    factored in place (``_cholesky_in_place``), so the one (m+1)-square
-    buffer both checks the pivots and solves the system. ``lstsq`` on
-    the (n-m) x (m+1) design solves it instead when the scaled Gram has
-    no Cholesky factor or a pivot below ``_GRAM_PIVOT_FLOOR``, where
-    squaring the condition number could cost the solution its digits.
-    Only that path builds the design.
-    """
-    n = len(w)
-    # the Gram, scaled and then factored in place: the one (m+1)-square buffer
-    chol, rhs = _long_ar_gram(w, m)
-    scale = np.sqrt(chol.diagonal())
-    with np.errstate(divide="ignore", invalid="ignore"):
-        chol /= scale[:, None]
-        chol /= scale
-        try:
-            _cholesky_in_place(chol)
-            pivot = chol.diagonal().min() ** 2
-        except np.linalg.LinAlgError:
-            pivot = np.nan
-    e_hat = np.zeros(n)
-    if pivot >= _GRAM_PIVOT_FLOOR:
-        coeffs = _cholesky_solve(chol, rhs / scale) / scale
-        e_hat[m:] = w[m:] - coeffs[0] - np.convolve(w[:-1], coeffs[1:], "valid")
-    else:
-        design = np.empty((n - m, m + 1))
-        design[:, 0] = 1.0
-        design[:, 1:] = sliding_window_view(w[:-1], m)[:, ::-1]  # column k is lag k
-        e_hat[m:] = w[m:] - design @ _lstsq(design, w[m:])
+def _long_ar_residuals(w: np.ndarray, lags) -> np.ndarray:
+    """Residuals of the least-squares AR fit with intercept of ``w`` on
+    its ``lags`` (ascending), zero over the first m = ``lags[-1]``
+    cells: one ``lstsq`` on the (n - m) x (1 + len(lags)) design of an
+    intercept column and the lag columns."""
+    m = lags[-1]
+    design = np.column_stack((np.ones(len(w) - m), _lagged(w, lags, m)))
+    e_hat = np.zeros(len(w))
+    e_hat[m:] = w[m:] - design @ _lstsq(design, w[m:])
     return e_hat
 
 
@@ -366,10 +274,11 @@ def _hannan_rissanen(w: np.ndarray, order: ArimaOrder) -> np.ndarray:
     """Hannan-Rissanen estimates of the ARMA parameters of ``w``, in
     ``_split_params`` order (Hannan & Rissanen 1982).
 
-    Stage 1 fits a long AR(m) by least squares and keeps its residuals
-    as innovation estimates (``_long_ar_residuals``). Stage 2 regresses
-    ``w`` on an intercept, its lags 1 to p and s to P*s, and the negated
-    estimates' lags 1 to q and s to Q*s, with ``lstsq``.
+    Stage 1 fits a long AR by least squares over the lags of
+    ``_stage_one_lags`` and keeps its residuals as innovation estimates
+    (``_long_ar_residuals``). Stage 2 regresses ``w`` on an intercept,
+    its lags 1 to p and s to P*s, and the negated estimates' lags 1 to q
+    and s to Q*s. Both stages solve their designs with ``lstsq``.
     """
     p, q = order.p, order.q
     P, _, Q, s = order.seasonal_part
@@ -377,17 +286,17 @@ def _hannan_rissanen(w: np.ndarray, order: ArimaOrder) -> np.ndarray:
     if np.var(w) == 0.0:
         raise FitError("constant series after differencing: collinear lags")
 
-    # Stage 1 fits a long AR(m) on n - m rows; stage 2 starts at the
-    # first cell whose lagged estimates all follow stage 1's m-cell
-    # burn-in, and fits on n - t0 rows.
-    m = max(int(math.ceil(10 * math.log10(max(n, 10)))), _recursion_start(order))
-    m = min(m, n // 2)
+    # Stage 1 fits its long AR on n - m rows, m its largest lag; stage 2
+    # starts at the first cell whose lagged estimates all follow stage
+    # 1's m-cell burn-in, and fits on n - t0 rows.
+    long_lags = _stage_one_lags(order, n)
+    m = long_lags[-1] if long_lags else 0
     ar_lags = [*range(1, p + 1), *range(s, P * s + 1, s)]
     ma_lags = [*range(1, q + 1), *range(s, Q * s + 1, s)]
     t0 = max(1, *ar_lags, *(m + lag for lag in ma_lags))
     if m < 1 or n - max(m, t0) < order.param_count + 2:
         raise DataError("series too short for the requested order")
-    e_hat = _long_ar_residuals(w, m) if q + Q > 0 else np.zeros(n)
+    e_hat = _long_ar_residuals(w, long_lags) if q + Q > 0 else np.zeros(n)
     lagged = (_lagged(w, ar_lags, t0), _lagged(-e_hat, ma_lags, t0))
     design = np.column_stack((np.ones(n - t0), *lagged))
     params = _lstsq(design, w[t0:])

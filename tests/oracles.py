@@ -1,10 +1,7 @@
 """Shared reference implementations used by multiple test modules, and
-``traced_peak`` and ``rss_growth`` for the memory bounds."""
+``traced_peak`` for the memory bounds."""
 
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -312,22 +309,22 @@ def naive_ae_train(X, hidden, epochs, learning_rate, seed):
     return (W1, b1, W2, b2), history, errors
 
 
-def naive_long_ar_design(w, m):
-    """Reference long-AR design: an intercept column, then lags 1 to m
-    of ``w[m:]``, built one lag column at a time."""
-    n = len(w)
-    design = np.empty((n - m, m + 1))
+def naive_long_ar_design(w, lags):
+    """Reference long-AR design: an intercept column, then the given
+    ascending lags of ``w[max(lags):]``, built one lag column at a time."""
+    n, m = len(w), max(lags)
+    design = np.empty((n - m, len(lags) + 1))
     design[:, 0] = 1.0
-    for lag in range(1, m + 1):
-        design[:, lag] = w[m - lag : n - lag]
+    for column, lag in enumerate(lags, start=1):
+        design[:, column] = w[m - lag : n - lag]
     return design
 
 
-def naive_long_ar_residuals(w, m):
+def naive_long_ar_residuals(w, lags):
     """Reference long-AR residuals: the column-built design solved by
     the SVD-based least squares."""
-    n = len(w)
-    design = naive_long_ar_design(w, m)
+    n, m = len(w), max(lags)
+    design = naive_long_ar_design(w, lags)
     coeffs, _, _, _ = np.linalg.lstsq(design, w[m:], rcond=None)
     e_hat = np.zeros(n)
     e_hat[m:] = w[m:] - design @ coeffs
@@ -390,33 +387,3 @@ def traced_peak(fn):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-def rss_growth(setup, call):
-    """Bytes by which the statement ``call`` raises the peak resident
-    set (``ru_maxrss``) of a fresh interpreter that has run ``setup``.
-
-    Unlike ``traced_peak`` this sees what the BLAS/LAPACK libraries
-    allocate with their own malloc, such as the copy that
-    ``np.linalg.cholesky`` factors. ``setup`` should make the calls
-    that load those libraries and their buffers once at a small size,
-    so that their first-use cost does not count against ``call``.
-    """
-    import ethsentinel
-
-    script = "\n".join(
-        (
-            "import resource",
-            setup,
-            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss",
-            call,
-            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss",
-            "print(after - before)",
-        )
-    )
-    src = os.path.dirname(os.path.dirname(ethsentinel.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-    )
-    return int(out.stdout.split()[-1]) * 1024  # Linux reports kilobytes

@@ -26,11 +26,10 @@ from ethsentinel.predictive import (
     ArimaOrder,
     _best_split,
     _candidate_orders,
-    _cholesky_in_place,
     _lag_pairs,
     _lagged,
-    _long_ar_gram,
     _long_ar_residuals,
+    _stage_one_lags,
     aic,
     arima_fit,
     arima_predict_in_sample,
@@ -48,7 +47,6 @@ from oracles import (
     naive_css_residuals,
     naive_long_ar_design,
     naive_long_ar_residuals,
-    rss_growth,
     traced_peak,
 )
 
@@ -121,17 +119,21 @@ def test_in_sample_residuals_reconstruct_predictions():
     assert np.allclose(x[offset:] - preds, residuals)
 
 
+DAILY = ArimaOrder(1, 1, 1, (1, 0, 1, 1440))
+
+
 def dense_gaslimit_sarima_input():
     """The differenced training gaslimit of the criterion-1 harness
-    stream, seed 0, and the long-AR order of its SARIMA(1,1,1)(1,0,1,1344)
-    fit: a 2688 x 1345 design with condition number about 2e5."""
+    stream, seed 0, and the long-AR lags of its SARIMA(1,1,1)(1,0,1,1344)
+    fit: 1 to 37 and 1344 to 1381."""
     txs, _ = synth.synth_generate(
         synth.SynthConfig(
             duration=4 * 86400, base_rate=6.0, rate_amplitude=0.4, value_sigma=0.25, seed=0
         )
     )
     grid = build_grids(txs, EngineConfig(features=("gaslimit",)))["gaslimit"].values
-    return np.diff(grid[: int(round(0.7 * len(grid)))]), 1344
+    w = np.diff(grid[: int(round(0.7 * len(grid)))])
+    return w, _stage_one_lags(ArimaOrder(1, 1, 1, (1, 0, 1, 1344)), len(w))
 
 
 def sparse_like_input():
@@ -141,109 +143,12 @@ def sparse_like_input():
     x = np.zeros(4000)
     active = rng.choice(len(x), 100, replace=False)
     x[active] = rng.lognormal(3.0, 1.0, len(active))
-    return np.diff(x), 36
-
-
-@pytest.mark.parametrize(
-    "make_input",
-    [
-        dense_gaslimit_sarima_input,
-        lambda: (simulate_arma(0.5, 0.3, 4000, 0), 36),
-        # 301 columns: two whole 128-column blocks of the factor and a part
-        lambda: (simulate_arma(0.5, 0.3, 4000, 1), 300),
-        sparse_like_input,
-    ],
-    ids=["dense-gaslimit-sarima", "arma11", "arma11-three-blocks", "sparse-like"],
-)
-def test_long_ar_residuals_match_lstsq_oracle(make_input):
-    w, m = make_input()
-    expected = naive_long_ar_residuals(w, m)
-    # relative to the residuals' scale: entries near zero carry the
-    # same absolute rounding as the rest
-    np.testing.assert_allclose(
-        _long_ar_residuals(w, m), expected, rtol=1e-9, atol=1e-9 * np.abs(expected).max()
-    )
+    return np.diff(x), range(1, 37)
 
 
 def trending_series(n, seed):
     rng = np.random.default_rng(seed)
     return 3.0 + 0.1 * np.cumsum(rng.standard_normal(n)) + rng.standard_normal(n)
-
-
-@pytest.mark.parametrize("n, m", [(50, 1), (50, 2), (3, 1), (5, 2), (9, 4), (5759, 1440)])
-def test_shifted_sum_gram_matches_design_product(n, m):
-    w = trending_series(n, m)
-    design = naive_long_ar_design(w, m)
-    gram, rhs = _long_ar_gram(w, m)
-    expected = design.T @ design
-    np.testing.assert_allclose(gram, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
-    expected = design.T @ w[m:]
-    np.testing.assert_allclose(rhs, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
-
-
-def test_long_ar_holds_no_design():
-    # the (n - m) x (m + 1) design alone would be about 3 (m + 1)-square matrices
-    m = 1440
-    w = trending_series(5759, 0)
-    assert traced_peak(lambda: _long_ar_residuals(w, m)) < 2.5 * (m + 1) ** 2 * 8
-
-
-def scaled_gram(w, m):
-    gram, _ = _long_ar_gram(w, m)
-    scale = np.sqrt(gram.diagonal())
-    with np.errstate(divide="ignore", invalid="ignore"):  # zero columns
-        return gram / scale[:, None] / scale
-
-
-@pytest.mark.parametrize("m", [1, 2, 27, 38, 100, 127])
-def test_one_block_factor_is_lapacks(m):
-    # every non-seasonal long AR has m <= 38: one np.linalg.cholesky call
-    gram = scaled_gram(trending_series(2000, m), m)
-    chol = gram.copy()
-    _cholesky_in_place(chol)
-    assert np.array_equal(chol, np.linalg.cholesky(gram))
-
-
-def test_blocked_factor_matches_lapack():
-    m = 1440
-    gram = scaled_gram(trending_series(5759, 0), m)
-    chol = gram.copy()
-    _cholesky_in_place(chol)
-    expected = np.linalg.cholesky(gram)
-    np.testing.assert_allclose(chol, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
-    # _cholesky_solve reads whole diagonal blocks, so the zeros must be exact
-    assert not np.triu(chol, 1).any()
-
-
-def test_long_ar_factors_its_gram_in_place():
-    # np.linalg.cholesky would add a LAPACK copy, which tracemalloc cannot
-    # see, and a new output to the Gram: three (m+1)-square matrices
-    m = 1440
-    w = trending_series(5759, 0)
-    assert traced_peak(lambda: _long_ar_residuals(w, m)) < 1.5 * (m + 1) ** 2 * 8
-    setup = "\n".join(
-        (
-            "import numpy as np",
-            "from ethsentinel.predictive import _long_ar_residuals",
-            "rng = np.random.default_rng(0)",
-            "n = 5759",
-            "w = 3.0 + 0.1 * np.cumsum(rng.standard_normal(n)) + rng.standard_normal(n)",
-            "_long_ar_residuals(w[:1000], 300)",  # loads BLAS and LAPACK at a small size
-        )
-    )
-    assert rss_growth(setup, f"_long_ar_residuals(w, {m})") < 1.6 * (m + 1) ** 2 * 8
-
-
-def counting_lstsq(monkeypatch):
-    calls = []
-    lstsq = np.linalg.lstsq
-
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape)
-        return lstsq(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "lstsq", counted)
-    return calls
 
 
 def one_spike():
@@ -257,26 +162,9 @@ def near_sine():
     return np.sin(0.3 * np.arange(400)) + 1e-5 * rng.standard_normal(400)
 
 
-@pytest.mark.parametrize(
-    "make_series",
-    # ARIMA(1,0,1)'s long AR of 27 lags sees the spike in 6 columns: rank
-    # 7 of 28 and no factor. The sine spans three columns and the noise
-    # leaves a smallest scaled pivot near 2e-10, where the normal
-    # equations would lose about five digits.
-    [one_spike, near_sine],
-    ids=["one-spike", "near-sine"],
-)
-def test_ill_posed_long_ar_falls_back_to_lstsq(monkeypatch, make_series):
-    x = make_series()
-    expected = naive_long_ar_residuals(x, 27)
-    calls = counting_lstsq(monkeypatch)
-    assert np.array_equal(_long_ar_residuals(x, 27), expected)
-    assert calls == [(373, 28)]
-
-
 def late_spike():
     # lags 1 to 200 see the spike, each in its own row; lags 201 to 300
-    # are zero columns, whose scaled pivots are NaN
+    # are zero columns
     x = np.zeros(1000)
     x[799] = 1.0
     return x
@@ -291,34 +179,86 @@ def periodic(noise):
 
 
 @pytest.mark.parametrize(
-    "make_series",
-    # a NaN pivot, no factor (LinAlgError) and, with noise, a smallest
-    # scaled pivot near 1e-10, each first in the factor's second block
-    [late_spike, lambda: periodic(0.0), lambda: periodic(1e-5)],
-    ids=["late-spike", "periodic", "near-periodic"],
+    "make_input",
+    [
+        dense_gaslimit_sarima_input,
+        lambda: (simulate_arma(0.5, 0.3, 4000, 0), range(1, 37)),
+        lambda: (simulate_arma(0.5, 0.3, 4000, 1), range(1, 301)),
+        sparse_like_input,
+        # rank-deficient and nearly so: ARIMA(1,0,1)'s 27 lags see the
+        # spike in 6 columns (rank 7 of 28); the sine spans three
+        # columns, and the noise leaves them nearly collinear
+        lambda: (one_spike(), range(1, 28)),
+        lambda: (near_sine(), range(1, 28)),
+        lambda: (late_spike(), range(1, 301)),
+        lambda: (periodic(0.0), range(1, 301)),
+        lambda: (periodic(1e-5), range(1, 301)),
+        lambda: (trending_series(5759, 0), _stage_one_lags(DAILY, 5759)),
+    ],
+    ids=[
+        "dense-gaslimit-sarima",
+        "arma11",
+        "arma11-300-lags",
+        "sparse-like",
+        "one-spike",
+        "near-sine",
+        "late-spike",
+        "periodic",
+        "near-periodic",
+        "seasonal-1440",
+    ],
 )
-def test_long_ar_falls_back_past_the_first_block(monkeypatch, make_series):
-    x = make_series()
-    m = 300
-    # the first 128 columns alone factor well
-    head = np.linalg.cholesky(scaled_gram(x, m)[:128, :128])
-    assert head.diagonal().min() ** 2 > 0.1
-    expected = naive_long_ar_residuals(x, m)
-    calls = counting_lstsq(monkeypatch)
-    assert np.array_equal(_long_ar_residuals(x, m), expected)
-    assert calls == [(len(x) - m, m + 1)]
+def test_long_ar_residuals_match_lstsq_oracle(make_input):
+    w, lags = make_input()
+    lags = list(lags)
+    assert np.array_equal(_long_ar_residuals(w, lags), naive_long_ar_residuals(w, lags))
 
 
-def test_sarima_fit_solves_only_stage_two_by_lstsq(monkeypatch):
+def test_stage_one_lags_are_the_model_lags():
+    # J = ceil(10 log10 n): 38 at n = 5759, 21 at 119, 24 at 230, 17 at 50
+    assert _stage_one_lags(DAILY, 5759) == [*range(1, 39), *range(1440, 1479)]
+    # 1 to 21 and 33 to 54 would be 43 lags, more than 1 to 33
+    assert _stage_one_lags(ArimaOrder(1, 1, 1, (1, 0, 1, 33)), 119) == list(range(1, 34))
+    assert _stage_one_lags(ArimaOrder(1, 1, 1), 5759) == list(range(1, 39))
+    assert _stage_one_lags(ArimaOrder(40, 0, 1), 5759) == list(range(1, 41))
+    # lags past n // 2 are dropped, from either set
+    seasonal = ArimaOrder(1, 0, 1, (1, 0, 1, 100))
+    assert _stage_one_lags(seasonal, 230) == [*range(1, 25), *range(100, 116)]
+    assert _stage_one_lags(ArimaOrder(1, 0, 1, (1, 0, 1, 33)), 50) == list(range(1, 26))
+
+
+def test_daily_seasonal_fit_traces_under_8_mb():
+    # an s = 1440 fit on 5760 cells: its stage-1 design of 78 columns is
+    # 2.7 MB, where every lag from 1 to 1440 would take a 16.6 MB Gram
+    x = trending_series(5760, 0)
+    assert traced_peak(lambda: arima_fit(x, DAILY)) < 8 * 2**20
+
+
+def counting_lstsq(monkeypatch):
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    return calls
+
+
+def test_fit_solves_each_stage_by_one_lstsq(monkeypatch):
     rng = np.random.default_rng(4)
     s = 1000
     x = 5.0 * np.sin(2 * np.pi * np.arange(3 * s + 1) / s) + rng.standard_normal(3 * s + 1)
     calls = counting_lstsq(monkeypatch)
     arima_fit(x, ArimaOrder(1, 1, 1, (1, 0, 1, s)))
-    assert calls == [(3 * s - 2 * s, 5)]  # stage 2: rows from t0 = m + Q*s, 5 parameters
+    # 3000 differenced cells, J = 35: stage 1 regresses on an intercept
+    # and lags 1-35 and 1000-1035, from cell 1035; stage 2 on 5
+    # parameters, from t0 = 1035 + Q*s
+    assert calls == [(3 * s - 1035, 72), (3 * s - 1035 - s, 5)]
     calls.clear()
     assert isinstance(arima_fit(one_spike(), ArimaOrder(1, 0, 1)), ArimaModel)
-    assert len(calls) == 2  # the fallback and stage 2
+    assert calls == [(400 - 27, 28), (400 - 28, 3)]
 
 
 @pytest.mark.parametrize(
