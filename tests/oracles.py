@@ -1,7 +1,10 @@
 """Shared reference implementations used by multiple test modules, and
-``traced_peak`` for the memory bounds."""
+``traced_peak`` and ``rss_growth`` for the memory bounds."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -387,3 +390,33 @@ def traced_peak(fn):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def rss_growth(setup, call):
+    """Bytes by which the statement ``call`` raises the peak resident
+    set (``ru_maxrss``) of a fresh interpreter that has run ``setup``.
+
+    Unlike ``traced_peak`` this sees what the BLAS/LAPACK libraries
+    allocate with their own malloc, such as the copies and workspace
+    that ``np.linalg.lstsq`` hands to LAPACK. ``setup`` should make the
+    calls that load those libraries and their buffers once at a small
+    size, so that their first-use cost does not count against ``call``.
+    """
+    import ethsentinel
+
+    script = "\n".join(
+        (
+            "import resource",
+            setup,
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss",
+            call,
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss",
+            "print(after - before)",
+        )
+    )
+    src = os.path.dirname(os.path.dirname(ethsentinel.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    return int(out.stdout.split()[-1]) * 1024  # Linux reports kilobytes

@@ -47,6 +47,7 @@ from oracles import (
     naive_css_residuals,
     naive_long_ar_design,
     naive_long_ar_residuals,
+    rss_growth,
     traced_peak,
 )
 
@@ -225,6 +226,36 @@ def test_stage_one_lags_are_the_model_lags():
     seasonal = ArimaOrder(1, 0, 1, (1, 0, 1, 100))
     assert _stage_one_lags(seasonal, 230) == [*range(1, 25), *range(100, 116)]
     assert _stage_one_lags(ArimaOrder(1, 0, 1, (1, 0, 1, 33)), 50) == list(range(1, 26))
+
+
+def test_long_ar_holds_no_design():
+    # the long AR of an s = 1440 fit regresses on its model's 77 lags; a
+    # design over every lag 1 to m would be about 3 (m + 1)-square matrices
+    m = 1440
+    w = trending_series(5759, 0)
+    lags = _stage_one_lags(DAILY, len(w))
+    assert traced_peak(lambda: _long_ar_residuals(w, lags)) < 2.5 * (m + 1) ** 2 * 8
+
+
+def test_long_ar_factors_its_gram_in_place():
+    # no (m + 1)-square Gram is formed or factored: what lstsq hands to
+    # LAPACK, which tracemalloc cannot see, is the 78-column design
+    m = 1440
+    w = trending_series(5759, 0)
+    lags = _stage_one_lags(DAILY, len(w))
+    assert traced_peak(lambda: _long_ar_residuals(w, lags)) < 1.5 * (m + 1) ** 2 * 8
+    setup = "\n".join(
+        (
+            "import numpy as np",
+            "from ethsentinel.predictive import ArimaOrder, _long_ar_residuals, _stage_one_lags",
+            "rng = np.random.default_rng(0)",
+            "n = 5759",
+            "w = 3.0 + 0.1 * np.cumsum(rng.standard_normal(n)) + rng.standard_normal(n)",
+            "lags = _stage_one_lags(ArimaOrder(1, 1, 1, (1, 0, 1, 1440)), n)",
+            "_long_ar_residuals(w[:1000], list(range(1, 301)))",  # loads BLAS and LAPACK at a small size
+        )
+    )
+    assert rss_growth(setup, "_long_ar_residuals(w, lags)") < 1.6 * (m + 1) ** 2 * 8
 
 
 def test_daily_seasonal_fit_traces_under_8_mb():
