@@ -145,6 +145,30 @@ class EngineConfig:
                 ArimaOrder(*order)
             except DataError as exc:
                 raise DataError(f"arima_order {order!r} gives arima no model: {exc}") from None
+        # settings under which every fit of a wired kind would fail, or
+        # the key would not take effect
+        for kinds, bad, why in (
+            (("ae",), self.ae_hidden >= self.ae_window, "ae_hidden must be below ae_window"),
+            (("iforest",), self.iforest_subsample < 2, "iforest_subsample must be at least 2"),
+            (
+                ("ocsvm", "dbscan"),
+                self.boundary_subsample < 2,
+                "boundary_subsample must be at least 2",
+            ),
+            (
+                ("dbscan",),
+                self.dbscan_eps == 0.0 and self.boundary_subsample < self.dbscan_min_pts,
+                "boundary_subsample must be at least dbscan_min_pts for dbscan_eps = 0 to"
+                " estimate eps",
+            ),
+            (
+                ("kmeans",),
+                self.kmeans_k == 0 and self.kmeans_k_max < 2,
+                "kmeans_k_max must be at least 2 for kmeans_k = 0 to select k",
+            ),
+        ):
+            if bad and not wired.isdisjoint(kinds):
+                raise DataError(f"{why} when {' or '.join(kinds)} is wired")
         for name in self.alarm_categories:
             if wired.isdisjoint(banks[DetectorCategory(name)][0]):
                 raise DataError(

@@ -66,9 +66,6 @@ class EnsembleReport:
     flagging_detectors: list[list[str]]
     warnings: list[str] = field(default_factory=list)
 
-    def alarm_timestamps(self) -> np.ndarray:
-        return self.timestamps[self.alarm]
-
     def categories_at(self, i: int) -> dict:
         """The category tallies of record ``i``, as records carry them."""
         return {
@@ -111,34 +108,25 @@ def _window_matrix(values: np.ndarray, w: int, first: int) -> tuple[np.ndarray, 
     windows that start at or after ``first``, one starting at each cell.
 
     ``values`` may be a 1-D series or an (n, d) row matrix; a window of
-    d-column rows flattens to a w*d vector. Only the requested windows
-    are copied out of a ``sliding_window_view`` of ``values``.
+    d-column rows flattens to a w*d vector. The windows are laid out in
+    C order from a ``sliding_window_view`` of ``values[first:]``.
     """
     n = len(values)
     width = w * (values.shape[1] if values.ndim == 2 else 1)
-    starts = np.arange(first, n - w + 1)
-    if len(starts) == 0:
+    if n - first < w:
         return np.empty((0, width)), np.empty(0, dtype=int)
-    view = sliding_window_view(values, w, axis=0)
+    view = sliding_window_view(values[first:], w, axis=0)
     if values.ndim == 2:
         view = view.transpose(0, 2, 1)  # (start, cell, column): rows stay row-major
-    return view[starts].reshape(len(starts), width), starts
-
-
-def _cell_counts(lo: np.ndarray, hi: np.ndarray, cells: int) -> np.ndarray:
-    """How many of the ranges [lo, hi) cover each of ``cells`` cells: +1
-    at lo, -1 at hi, and a running sum."""
-    counts = np.zeros(cells + 1, dtype=int)
-    np.add.at(counts, lo, 1)
-    np.add.at(counts, hi, -1)
-    return np.cumsum(counts[:-1])
+    return np.ascontiguousarray(view).reshape(len(view), width), np.arange(first, n - w + 1)
 
 
 @dataclass(frozen=True, eq=False)
 class WindowFrame:
     """The windows that the row kinds of one group share: a window of
     ``cells`` cells ending at every cell, standardized by the column
-    ``mean`` and ``std`` of the training windows. Frames compare by
+    ``mean`` and ``std`` of the training windows, so a cell's window
+    vote is a box sum (``_window_point_flags``). Frames compare by
     identity, so a detector kept from an earlier fit scores with its
     own frame, not with the one its group was refitted on."""
 
@@ -157,19 +145,15 @@ class WindowFrame:
         rows.flags.writeable = False
         return cls(cells, mean, std), rows
 
-    def windows(self, values: np.ndarray, start: int) -> tuple[np.ndarray, ...]:
-        """(rows, lo, hi, covering) of the windows that cover a cell of
-        [start, n): their standardized read-only rows, the cells [lo,
-        hi) of that range that each covers, counted from start, and the
-        number of windows covering each cell of the range. Only these
-        windows are built."""
+    def windows(self, values: np.ndarray, start: int) -> tuple[np.ndarray, int]:
+        """(rows, cells): the standardized read-only rows of the windows
+        that cover a cell of [start, n), in start order, and the number
+        n - start of those cells. Only these windows are built."""
         w = self.cells
-        matrix, starts = _window_matrix(values, w, max(0, start - w + 1))
+        matrix, _ = _window_matrix(values, w, max(0, start - w + 1))
         rows = (matrix - self.mean) / self.std
         rows.flags.writeable = False
-        lo = np.maximum(starts, start) - start
-        hi = starts + w - start
-        return rows, lo, hi, _cell_counts(lo, hi, len(values) - start)
+        return rows, len(values) - start
 
 
 def _subsample_rows(matrix: np.ndarray, cap: int, seed: int) -> np.ndarray:
@@ -637,18 +621,20 @@ def _predictive_point_flags(
 
 def _window_point_flags(det: FittedDetector, windows: tuple, vote: str) -> np.ndarray:
     """Flags for the scored cells of ``windows``, as its frame's
-    ``windows`` gives them, by voting over the windows covering each
-    cell: "any" / "majority" (strict) / "all" flagged windows."""
-    rows, lo, hi, covering = windows
+    ``windows`` gives them. A window votes +1 if flagged, else 0, -1 or
+    -w under "any", "majority" and "all", and a cell flags when the box
+    sum of the votes of the w windows covering it is above 0: one -w
+    outweighs up to w - 1 flagged windows, and an uncovered cell sums
+    to 0."""
+    rows, cells = windows
     if len(rows) == 0:
-        return np.zeros(len(covering), dtype=bool)
-    window_flags = _score_rows(det.kind, det.payload, rows)
-    flagged = _cell_counts(lo[window_flags], hi[window_flags], len(covering))
-    if vote == "any":
-        return flagged > 0
-    if vote == "all":
-        return (covering > 0) & (flagged == covering)
-    return flagged * 2 > covering
+        return np.zeros(cells, dtype=bool)
+    w = det.payload["frame"].cells
+    unflagged = {"any": 0, "majority": -1, "all": -w}[vote]
+    votes = np.where(_score_rows(det.kind, det.payload, rows), 1, unflagged)
+    # entry i sums the votes covering the i-th cell from the first window's start
+    sums = np.correlate(votes, np.ones(w, dtype=int), "full")
+    return sums[len(sums) - cells :] > 0
 
 
 def score_bank(

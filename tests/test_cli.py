@@ -3,6 +3,9 @@ streams, exit-code mapping, and output determinism."""
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -236,3 +239,19 @@ def test_exit_codes(workspace, capsys):
             "--out", ws / "r.jsonl",
         ) == 2
     capsys.readouterr()
+
+
+def test_package_import_loads_only_the_stdlib_and_numpy():
+    # batch setup time is a fresh interpreter importing the package, so
+    # a top-level import of any other library would add to it
+    src = Path(ensemble.__file__).parents[1]
+    code = (
+        "import sys; before = set(sys.modules); "
+        f"sys.path.insert(0, {str(src)!r}); "
+        "from ethsentinel import cli, ensemble, evaluate, ingest, synth; "
+        "print(*sorted({name.partition('.')[0] for name in set(sys.modules) - before}))"
+    )
+    run = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True)
+    loaded = set(run.stdout.split())
+    assert {"ethsentinel", "numpy"} <= loaded
+    assert loaded <= {*sys.stdlib_module_names, "ethsentinel", "numpy"}, loaded

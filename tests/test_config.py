@@ -89,6 +89,17 @@ def test_validation():
         {"predictive_detectors": (), "reduction_detectors": (), "clustering_detectors": ()},
         {"mode": "multivariate", "features": ("value",)},
         {"mode": "multivariate", "reduction_detectors": ("ae",), "clustering_detectors": ()},
+        # with the kind wired, every fit would fail, or select_k would
+        # fit k = 2 whatever kmeans_k_max says
+        {"ae_hidden": 32},
+        {"ae_hidden": 40, "reduction_detectors": ("ae",)},
+        {"iforest_subsample": 1},
+        {"boundary_subsample": 1},
+        {"boundary_subsample": 1, "clustering_detectors": ("dbscan",)},
+        {"boundary_subsample": 1, "clustering_detectors": ("ocsvm",)},
+        # the eps estimate takes each reference row's dbscan_min_pts - 1 nearest others
+        {"boundary_subsample": 3, "clustering_detectors": ("dbscan",)},
+        {"kmeans_k_max": 1},
     ):
         with pytest.raises(DataError):
             EngineConfig(**bad)
@@ -108,6 +119,18 @@ def test_validation():
     assert EngineConfig(arima_order=(0, 0, 0), predictive_detectors=("sarima", "knn"))
     assert EngineConfig(arima_order=(0, 0, 0), mode="multivariate")
     assert EngineConfig(arima_order=(0, 1, 0), predictive_detectors=("arima",))
+    # ... and an unwired kind's keys are not checked
+    assert EngineConfig(ae_hidden=32, reduction_detectors=("pca",))
+    assert EngineConfig(ae_hidden=32, mode="multivariate")
+    assert EngineConfig(iforest_subsample=1, reduction_detectors=("pca", "ae"))
+    assert EngineConfig(boundary_subsample=1, clustering_detectors=("kmeans",))
+    assert EngineConfig(boundary_subsample=3, clustering_detectors=("dbscan",), dbscan_eps=0.5)
+    assert EngineConfig(boundary_subsample=3, clustering_detectors=("dbscan",), dbscan_min_pts=3)
+    assert EngineConfig(kmeans_k_max=1, clustering_detectors=("dbscan", "ocsvm"))
+    # a fixed k needs no selection range
+    assert EngineConfig(kmeans_k=3, kmeans_k_max=1)
+    EngineConfig(ae_hidden=31, iforest_subsample=2, boundary_subsample=4, kmeans_k_max=2)
+    EngineConfig(boundary_subsample=2, clustering_detectors=("ocsvm",))
     # zero keeps its meaning where it has one; the boundaries of the ranges hold
     EngineConfig(sarima_period=0, cart_depth=0, kmeans_k=0, seed=0, dbscan_eps=0.0)
     EngineConfig(ocsvm_nu=1.0, residual_multiplier=0.0, train_ratio=0.5, pca_explained=1.0)

@@ -179,7 +179,7 @@ def test_run_batch_flags_planted_spike():
     )
     report = run_batch(txs, small_config())
     label = labels[0]
-    hits = report.alarm_timestamps()
+    hits = report.timestamps[report.alarm]
     assert any(abs(int(t) - label) <= 120 for t in hits)
 
 

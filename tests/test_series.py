@@ -71,7 +71,7 @@ def test_resample_preserves_total_mass(points, step):
     assert np.all(np.diff(grid.timestamps) == step)
 
 
-def test_window_matrix_overlap_membership(monkeypatch):
+def test_window_matrix_overlap_membership():
     matrix, starts = _window_matrix(np.arange(10.0), 5, 0)
     # 10 cells, 5-cell windows, one ending at every cell -> 6 windows
     assert len(matrix) == 6
@@ -80,35 +80,43 @@ def test_window_matrix_overlap_membership(monkeypatch):
     containing = [s for s in starts if s <= 4 < s + 5]
     assert len(containing) == 5
 
+
+@pytest.mark.parametrize("w", [1, 2, 5, 8])
+def test_window_point_flags_match_the_one_window_at_a_time_vote(monkeypatch, w):
     # windows and point flags against the one-slice-per-window and
     # one-window-at-a-time oracles; a window flags when its sum is
-    # positive
+    # positive, and a bias makes runs of flagged windows
     monkeypatch.setattr(ensemble, "_score_rows", lambda kind, payload, rows: rows.sum(1) > 0)
     rng = np.random.default_rng(7)
-    w = 5
-    for shape in [(23,), (23, 3), (3,), (3, 3)]:
-        values = rng.standard_normal(shape)
-        n = len(values)
-        full, full_starts = naive_window_matrix(values, w)
-        for first in (0, 3, n // 2, n - 1):
-            got, got_starts = _window_matrix(values, w, first)
-            keep = full_starts >= first
-            assert np.array_equal(got, full[keep])
-            assert np.array_equal(got_starts, full_starts[keep])
-        # mean 0 and std 1: the standardized windows are the windows
-        frame = ensemble.WindowFrame(w, mean=0.0, std=1.0)
-        det = ensemble.FittedDetector(
-            "pca:g", "pca", ensemble.DetectorCategory.REDUCTION, "g", {"frame": frame}
-        )
-        for start in (0, n // 2, n - 1):
-            used = full_starts >= max(0, start - w + 1)
-            windows = frame.windows(values, start)
-            for vote in ("any", "majority", "all"):
-                expected = naive_point_flags(
-                    full[used].sum(1) > 0, full_starts[used], w, n, start, vote
-                )
-                got = _window_point_flags(det, windows, vote)
-                assert got.tolist() == expected.tolist()
+    # mean 0 and std 1: the standardized windows are the windows
+    frame = ensemble.WindowFrame(w, mean=0.0, std=1.0)
+    det = ensemble.FittedDetector(
+        "pca:g", "pca", ensemble.DetectorCategory.REDUCTION, "g", {"frame": frame}
+    )
+    flagged = dict.fromkeys(("any", "majority", "all"), 0)
+    for n in sorted({1, max(1, w - 1), w, w + 1, 23}):  # n < w where w > 1
+        for shape, bias in [((n,), 0.0), ((n,), 0.8), ((n, 3), 0.0), ((n, 3), 0.8)]:
+            values = rng.standard_normal(shape) + bias
+            full, full_starts = naive_window_matrix(values, w)
+            for first in sorted({0, 3, n // 2, n - 1, n}):
+                got, got_starts = _window_matrix(values, w, first)
+                keep = full_starts >= first
+                assert np.array_equal(got, full[keep])
+                assert np.array_equal(got_starts, full_starts[keep])
+            for start in sorted({0, n - w, n - 1, n} & set(range(n + 1))):
+                used = full_starts >= max(0, start - w + 1)
+                windows = frame.windows(values, start)
+                for vote in flagged:
+                    expected = naive_point_flags(
+                        full[used].sum(1) > 0, full_starts[used], w, n, start, vote
+                    )
+                    got = _window_point_flags(det, windows, vote)
+                    assert got.tolist() == expected.tolist()
+                    flagged[vote] += int(got.sum())
+    # every rule flags some cells, and past one-cell windows the rules part
+    assert all(flagged.values())
+    assert flagged["all"] <= flagged["majority"] <= flagged["any"]
+    assert w == 1 or flagged["all"] < flagged["any"]
 
 
 def test_difference_orders():
