@@ -212,5 +212,5 @@ def _k_distance_quantile(distinct: DistinctRows, k: int) -> float:
         return near[np.arange(len(near)), (counts[idx].cumsum(axis=1) <= k).sum(axis=1)]
 
     # the square root is monotone, so it is taken of the k-th squared distance only
-    kth = np.sqrt(by_row_blocks(kth_distance, rows))
+    kth = np.sqrt(by_row_blocks(kth_distance, rows, len(rows)))
     return float(np.quantile(np.repeat(kth, counts), 0.95))

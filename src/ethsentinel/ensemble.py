@@ -296,7 +296,7 @@ def _knn_fit_pairs(X: np.ndarray, y: np.ndarray, k: int) -> tuple[dict, np.ndarr
         return _knn_forecast(held, weights[rows], k)
 
     preds = np.empty(len(y))
-    preds[by_context] = kernels.by_row_blocks(predict, contexts.rows)
+    preds[by_context] = kernels.by_row_blocks(predict, contexts.rows, len(contexts.rows))
     return {"contexts": contexts, "sums": sums, "k": k}, preds
 
 
@@ -317,7 +317,7 @@ def _knn_predictions(payload, X):
         idx, weights = _knn_nearest(dist, contexts.counts, k)
         return _knn_forecast(payload["sums"][idx], weights, k)
 
-    return kernels.by_row_blocks(predict, X)
+    return kernels.by_row_blocks(predict, X, len(contexts.rows))
 
 
 def _holdout_rms(X, y, model, predict, fit_head) -> float:
@@ -413,7 +413,9 @@ def _score_dbscan(payload, rows):
         within = sq <= payload["eps"] ** 2
         return within.sum(axis=1) + within[:, repeated] @ (reference.counts[repeated] - 1)
 
-    return payload["min_pts"] - 1 - kernels.by_row_blocks(neighbours, rows)
+    return payload["min_pts"] - 1 - kernels.by_row_blocks(
+        neighbours, rows, len(reference.rows)
+    )
 
 
 def _fit_ocsvm(rows, config, seed):
@@ -729,22 +731,34 @@ def merge_group_votes(
     )
 
 
-def detect_batch(
-    transactions, config: EngineConfig
-) -> tuple[dict[str, TimeSeries], EnsembleReport]:
-    """Batch detection: 70/30 chronological split for the predictive
-    bank, everything else fits and scores the full span. Returns the
-    grids with the report, whose records follow the grids' timeline."""
+def batch_grids(transactions, config: EngineConfig) -> dict[str, TimeSeries]:
+    """The grids that ``detect_batch`` scores: ``build_grids`` of a
+    non-empty list of transactions."""
     if not transactions:
         raise DataError("no transactions to analyze")
-    grids = build_grids(transactions, config)
+    return build_grids(transactions, config)
+
+
+def detect_grids(grids: dict[str, TimeSeries], config: EngineConfig) -> EnsembleReport:
+    """Batch detection on built grids: 70/30 chronological split for the
+    predictive bank, everything else fits and scores the full span. The
+    report's records follow the grids' timeline."""
     n = len(next(iter(grids.values())))
     split = int(round(config.train_ratio * n))
     split = min(max(split, 1), n - 1) if n > 1 else 1
     detectors, warnings = fit_bank(grids, config, predictive_train_cells=split)
     verdicts = score_bank(detectors, grids, config, predictive_start=split)
     timeline = next(iter(grids.values())).timestamps
-    return grids, merge_group_votes(verdicts, timeline, config.alarm_categories, warnings)
+    return merge_group_votes(verdicts, timeline, config.alarm_categories, warnings)
+
+
+def detect_batch(
+    transactions, config: EngineConfig
+) -> tuple[dict[str, TimeSeries], EnsembleReport]:
+    """``detect_grids`` of ``batch_grids(transactions, config)``; returns
+    the grids with the report."""
+    grids = batch_grids(transactions, config)
+    return grids, detect_grids(grids, config)
 
 
 def run_batch(transactions, config: EngineConfig) -> EnsembleReport:

@@ -4,12 +4,13 @@ uses another, so a kernel is its gamma. The kernel functions take it as
 a float; the fits take an optional one, by default 1/(d * var)
 (``resolve_gamma``). ``sq_dists`` is the package's one pairwise
 squared-distance helper, and ``by_row_blocks`` builds a (rows x
-reference) matrix a block of rows at a time, so that no distance matrix
-grows with the square of a series; ``nearest`` selects the smallest
-entries of each row of such a block. ``DistinctRows`` is the one form
-of a matrix's distinct rows, found by a lexsort: k-NN, DBSCAN, its eps
-estimate and the autoencoder fit on them, and the isolation forest
-scores them. Scores take an (n, d) row matrix.
+reference) matrix a block of rows at a time, each block at most 128
+rows and 2^17 entries whatever the width of the reference, so that no
+distance matrix grows with the square of a series; ``nearest`` selects
+the smallest entries of each row of such a block. ``DistinctRows`` is
+the one form of a matrix's distinct rows, found by a lexsort: k-NN,
+DBSCAN, its eps estimate and the autoencoder fit on them, and the
+isolation forest scores them. Scores take an (n, d) row matrix.
 
 Both kernel machines evaluate sum_i w_i k(r_i, x) in blocks of query
 rows. Kernel ridge fits on ``kernel_matrix(X, X, gamma)``, which is
@@ -36,7 +37,10 @@ SMO_TOLERANCE = 1e-4
 SMO_MAX_ITER = 100_000
 _EPS = 1e-12
 
-_ROW_BLOCK = 128
+# the most rows and entries in one block of ``by_row_blocks``; 2^17
+# entries are 1 MB of float64
+_BLOCK_ROWS = 128
+_BLOCK_ENTRIES = 1 << 17
 
 # entries in one step of an in-place pass over a distance matrix
 _STEP_ENTRIES = 1 << 20
@@ -137,14 +141,28 @@ class DistinctRows:
         return cls(rows, np.bincount(group), inverse, (rows * rows).sum(axis=1))
 
 
-def by_row_blocks(fn, A: np.ndarray) -> np.ndarray:
-    """``fn(block, lo)`` on the rows [lo, lo + 128) of A in turn, the
-    results joined along the first axis. A lone last row joins the block
-    before it: numpy takes a one-row product through its vector routine,
-    which rounds differently from the matrix product of a larger block.
-    A block of distances to a 5760-row reference is then 5.9 MB, so the
-    blocks of one fit do not stay resident beneath a later fit's peak."""
-    los = list(range(0, len(A) - 1, _ROW_BLOCK)) or [0]
+def by_row_blocks(fn, A: np.ndarray, width: int) -> np.ndarray:
+    """``fn(block, lo)`` on the rows [lo, lo + step) of A in turn, the
+    results joined along the first axis, where ``width`` is the number
+    of entries that ``fn`` builds for each row (the rows of a distance
+    reference, the trees of a forest). The step is the largest power of
+    two of rows, at most ``_BLOCK_ROWS`` and at least 2, whose entries
+    fit in ``_BLOCK_ENTRIES``: 16 rows against a 5760-row reference, so
+    no fit's blocks stay resident beneath a later fit's peak, and 128
+    against one of 1024 rows or fewer: the cap keeps a narrow
+    reference's blocks as they were, since longer ones scored the
+    isolation forest no faster.
+
+    A row's result does not depend on the blocks. BLAS's matrix-vector
+    product (``_expansion``) takes rows in groups of a few and rounds a
+    row by its place in a group; every block but the last is a power of
+    two of rows, so a row has the same place under any such step. And a
+    lone last row joins the block before it: numpy takes a one-row
+    product through its vector routine, which rounds differently from
+    the matrix product of a larger block."""
+    fit = min(_BLOCK_ROWS, max(2, _BLOCK_ENTRIES // max(1, width)))
+    step = 1 << (fit.bit_length() - 1)
+    los = list(range(0, len(A) - 1, step)) or [0]
     parts = [fn(A[lo:hi], lo) for lo, hi in zip(los, [*los[1:], len(A)])]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
@@ -170,7 +188,7 @@ def _expansion(X, rows, rows_sq, weights, gamma: float) -> np.ndarray:
     def expand(block, lo):
         return kernel_matrix(block, rows, gamma, rows_sq) @ weights
 
-    return by_row_blocks(expand, np.atleast_2d(np.asarray(X, dtype=np.float64)))
+    return by_row_blocks(expand, np.atleast_2d(np.asarray(X, dtype=np.float64)), len(rows))
 
 
 @dataclass(frozen=True)

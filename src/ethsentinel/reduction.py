@@ -4,7 +4,10 @@ isolation forest, and a windowed dense autoencoder.
 The isolation forest walks each distinct row (``kernels.DistinctRows``)
 through its trees once and gives every copy that row's score: a row's
 path depends on its values only, and the windows of a mostly-zero
-account repeat.
+account repeat. It walks the distinct rows a block at a time
+(``kernels.by_row_blocks``, one entry per tree and row), so a level's
+node arrays hold trees x 128 entries at most, not trees x rows: 0.1 MB
+each for 100 trees, where 5757 rows took 4.6 MB apiece.
 
 PCA uses a cyclic Jacobi eigendecomposition of the covariance matrix.
 It stays although numpy's LAPACK is at hand: acceptance criterion 7
@@ -33,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DataError, NumericError
-from .kernels import DistinctRows
+from .kernels import DistinctRows, by_row_blocks
 
 JACOBI_TOLERANCE = 1e-12
 JACOBI_MAX_SWEEPS = 100
@@ -225,21 +228,27 @@ def iforest_score(forest: IsolationForest, X: np.ndarray) -> np.ndarray:
     (n, d) matrix; higher is more anomalous. A row's path depends on its
     values only, so each distinct row walks the forest once."""
     distinct = DistinctRows.of(np.asarray(X, dtype=np.float64))
-    rows, width = distinct.rows.shape
-    values = distinct.rows.ravel()
-    # one entry per (tree, row), trees outer: every tree and row moves
-    # down one level per step; no tree is deeper than the depth limit,
-    # and leaves point to themselves
-    row_start = np.tile(np.arange(0, rows * width, width), forest.tree_count)
-    node = np.repeat(forest.roots, rows)
-    for _ in range(forest.depth_limit):
-        below = values.take(forest.feature.take(node) + row_start) < forest.threshold.take(node)
-        node = forest.child.take(node + below)
-    paths = forest.path_length.take(node).reshape(forest.tree_count, rows)
-    # a running total, tree by tree in order: np.sum may add pairwise,
-    # and the order sets the rounding of the mean
-    mean_path = np.cumsum(paths, axis=0)[-1] / forest.tree_count
-    scores = 2.0 ** (-mean_path / average_path_length(forest.subsample_size))
+    trees = forest.tree_count
+
+    def mean_path(block, lo):
+        rows, width = block.shape
+        values = block.ravel()
+        # one entry per (tree, row), trees outer: every tree and row moves
+        # down one level per step; no tree is deeper than the depth limit,
+        # and leaves point to themselves
+        row_start = np.tile(np.arange(0, rows * width, width), trees)
+        node = np.repeat(forest.roots, rows)
+        for _ in range(forest.depth_limit):
+            below = values.take(forest.feature.take(node) + row_start) < forest.threshold.take(node)
+            node = forest.child.take(node + below)
+        paths = forest.path_length.take(node).reshape(trees, rows)
+        # a running total, tree by tree in order: np.sum may add pairwise,
+        # and the order sets the rounding of the mean. The division copies
+        # the last row out, so no (trees x rows) total outlives its block
+        return np.cumsum(paths, axis=0)[-1] / trees
+
+    mean = by_row_blocks(mean_path, distinct.rows, trees)
+    scores = 2.0 ** (-mean / average_path_length(forest.subsample_size))
     return scores[distinct.inverse]
 
 

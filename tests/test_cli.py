@@ -5,11 +5,12 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
-from ethsentinel import ensemble
+from ethsentinel import cli, ensemble
 from ethsentinel.cli import main
 
 SMALL_ENGINE_CFG = """
@@ -179,6 +180,29 @@ def test_keep_failed_key_drops_failed_records(workspace):
         values[keep] = [float(r["features"]["value"]) for r in records if r["ts"] in cells]
     assert len(values["yes"]) == 2 and all(v > 0.0 for v in values["yes"])
     assert values["no"] == [0.0, 0.0]
+
+
+def test_detect_batch_frees_the_transactions_before_the_fit(workspace, monkeypatch):
+    # the grids hold what the fit needs; the parsed list is not kept beside them
+    firsts, alive = [], []
+    load, detect = cli._load_transactions, ensemble.detect_grids
+
+    def loading(*args):
+        transactions = load(*args)
+        firsts.append(weakref.ref(transactions[0]))
+        return transactions
+
+    def detecting(grids, config):
+        alive.append(firsts[0]() is not None)
+        return detect(grids, config)
+
+    monkeypatch.setattr(cli, "_load_transactions", loading)
+    monkeypatch.setattr(ensemble, "detect_grids", detecting)
+    assert run(
+        "detect", "batch", "--input", EXPLORER_FIXTURE, "--config", workspace / "engine.cfg",
+        "--out", workspace / "report.jsonl",
+    ) == 0
+    assert alive == [False]
 
 
 def test_synth_determinism(workspace):

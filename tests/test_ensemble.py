@@ -885,6 +885,19 @@ def test_knn_fit_holds_no_index_array_beside_its_distance_block():
     assert traced_peak(lambda: ensemble._fit_knn(train, config, seed=0)) < 1.5 * block
 
 
+def test_knn_score_holds_one_block_of_distances():
+    # a dense 4-day series' lag pairs scored against another's fit: a
+    # 128-row block of distances to the 5755 contexts and its
+    # argpartition index took 11.3 MB; 16-row blocks take 1.5 MB
+    config = EngineConfig()
+    train = np.random.default_rng(0).standard_normal(5760)
+    payload = ensemble._fit_knn(train, config, seed=0)
+    series = np.random.default_rng(1).standard_normal(5760)
+    queries = predictive._lag_pairs(series, config.knn_lags)[0]
+    block = kernels._BLOCK_ENTRIES * 8
+    assert traced_peak(lambda: ensemble._knn_predictions(payload, queries)) < 3 * block
+
+
 def test_dbscan_score_counts_the_whole_reference_subsample():
     # a mostly-zero window matrix beyond the reference cap: the distinct
     # reference rows with their copies count as the subsample itself
@@ -965,8 +978,8 @@ def test_leaving_a_kind_out_equals_dropping_its_verdicts(one_day_bank, kind, ban
 
 def test_no_distance_matrix_grows_with_the_square_of_the_series(monkeypatch):
     # a refit on 2 days of cells and the batch scoring after it: every
-    # distance or kernel matrix is a block of rows, the widest kNN's
-    # leave-self-out block of 129 rows against the whole series
+    # distance or kernel matrix is a block of rows, at most one block's
+    # entries and a lone last row against the whole series
     config = EngineConfig(
         predictive_detectors=("knn",),
         reduction_detectors=(),
@@ -993,4 +1006,4 @@ def test_no_distance_matrix_grows_with_the_square_of_the_series(monkeypatch):
     split = int(round(config.train_ratio * n))
     ensemble.score_bank(detectors, grids, config, predictive_start=split)
     assert sizes
-    assert max(sizes) <= (kernels._ROW_BLOCK + 1) * n
+    assert max(sizes) <= kernels._BLOCK_ENTRIES + n

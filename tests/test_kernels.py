@@ -38,6 +38,23 @@ def test_kernel_matrix_matches_closed_form():
     assert kernel_matrix(x, x, 0.3)[0, 0] == 1.0
 
 
+def block_sizes(n, width):
+    """The row counts of the blocks that ``by_row_blocks`` hands its
+    function on an n-row matrix, after checking that they cover each row
+    once, in order, each with the index of its first row."""
+    A = np.arange(2.0 * n).reshape(n, 2)
+    seen = []
+
+    def first_column(block, lo):
+        seen.append((lo, len(block)))
+        return block[:, 0]
+
+    assert np.array_equal(by_row_blocks(first_column, A, width), A[:, 0])
+    sizes = [rows for _, rows in seen]
+    assert [lo for lo, _ in seen] == np.cumsum([0, *sizes[:-1]]).tolist()
+    return sizes
+
+
 @pytest.mark.parametrize(
     "n, sizes",
     [
@@ -51,16 +68,44 @@ def test_kernel_matrix_matches_closed_form():
     ],
 )
 def test_row_blocks_cover_each_row_once(n, sizes):
-    # 128-row blocks; a lone last row joins the block before it
-    A = np.arange(2.0 * n).reshape(n, 2)
-    seen = []
+    # 128-row blocks against a reference of up to 1024 rows; a lone last
+    # row joins the block before it
+    assert block_sizes(n, 1024) == sizes
 
-    def first_column(block, lo):
-        seen.append((lo, len(block)))
-        return block[:, 0]
 
-    assert np.array_equal(by_row_blocks(first_column, A), A[:, 0])
-    assert seen == list(zip(np.cumsum([0, *sizes[:-1]]).tolist(), sizes))
+@pytest.mark.parametrize(
+    "n, width, sizes",
+    [
+        # the largest power of two of rows whose entries fit
+        (129, 1025, [64, 65]),
+        (33, 5760, [16, 17]),
+        (34, 5760, [16, 16, 2]),
+        # at least 2 rows, however wide
+        (7, kernels._BLOCK_ENTRIES, [2, 2, 3]),
+        (6, 4 * kernels._BLOCK_ENTRIES, [2, 2, 2]),
+        (3, 0, [3]),
+    ],
+)
+def test_row_blocks_against_a_wide_reference_hold_one_block_of_entries(n, width, sizes):
+    assert block_sizes(n, width) == sizes
+
+
+def test_kernel_expansion_rounds_each_row_as_128_row_blocks_do():
+    # BLAS's matrix-vector product rounds a row by its place in a group
+    # of rows: 26-row blocks, all that fit the entries against 5000
+    # support rows, moved 59 of these 1000 sums in their last bits
+    rng = np.random.default_rng(15)
+    support = rng.standard_normal((5000, 4))
+    support_sq = np.sum(support * support, axis=1)
+    weights = rng.random(5000)
+    X = rng.standard_normal((1000, 4))
+    expected = np.concatenate(
+        [
+            kernel_matrix(X[lo : lo + 128], support, 0.2, support_sq) @ weights
+            for lo in range(0, 1000, 128)
+        ]
+    )
+    assert np.array_equal(kernels._expansion(X, support, support_sq, weights, 0.2), expected)
 
 
 def test_squared_distances_non_negative_on_near_duplicates():

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from ethsentinel import kernels
 from ethsentinel.errors import DataError
 from ethsentinel.reduction import (
     ae_gradients,
@@ -23,7 +24,13 @@ from ethsentinel.reduction import (
     score_threshold,
 )
 
-from oracles import naive_ae_gradients, naive_ae_loss, naive_ae_train, naive_iforest_score
+from oracles import (
+    naive_ae_gradients,
+    naive_ae_loss,
+    naive_ae_train,
+    naive_iforest_score,
+    traced_peak,
+)
 
 
 def charpoly_eigenvalues(A):
@@ -172,6 +179,44 @@ def test_iforest_walks_each_distinct_row_once_per_tree():
     m = len(np.unique(X, axis=0))
     assert m < len(X) / 6
     assert feature.sizes == [forest.tree_count * m] * forest.depth_limit
+
+
+BLOCK_ROWS = kernels._BLOCK_ROWS  # distinct rows in one block of a 100-tree walk
+
+
+@pytest.mark.parametrize(
+    "distinct, walks",
+    [
+        (BLOCK_ROWS - 1, [BLOCK_ROWS - 1]),
+        (BLOCK_ROWS, [BLOCK_ROWS]),
+        (BLOCK_ROWS + 1, [BLOCK_ROWS + 1]),  # a lone last row joins the block
+        (BLOCK_ROWS + 2, [BLOCK_ROWS, 2]),
+    ],
+)
+def test_iforest_walks_blocks_of_distinct_rows_as_one(distinct, walks):
+    rng = np.random.default_rng(14)
+    X = rng.standard_normal((distinct, 3))
+    # copies of the distinct rows on both sides of the first block's
+    # end, in the lexicographic order that the walk takes
+    ordered = X[np.lexsort(X.T[::-1])]
+    Y = np.vstack([X, np.repeat(ordered[BLOCK_ROWS - 2 : BLOCK_ROWS + 2], 3, axis=0)])
+    Y = Y[rng.permutation(len(Y))]
+    forest = iforest_fit(X, 100, 32, seed=6)
+    feature = forest.feature.view(TakeSizes)
+    feature.sizes = []
+    scores = iforest_score(dataclasses.replace(forest, feature=feature), Y)
+    levels = forest.depth_limit
+    assert feature.sizes == [100 * rows for rows in walks for _ in range(levels)]
+    assert np.array_equal(scores, naive_iforest_score(X, 100, 32, 6, Y))
+
+
+def test_iforest_score_holds_one_block_per_level():
+    # 100 trees over 5757 distinct rows: (tree, row) arrays of every row
+    # took 19 MB; a block of 128 rows is 0.1 MB an array
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((5757, 5))
+    forest = iforest_fit(X, 100, 256, seed=0)
+    assert traced_peak(lambda: iforest_score(forest, X)) < 2 * 2**20
 
 
 def test_ae_gradients_match_central_differences():
