@@ -35,11 +35,11 @@ class DbscanParams:
             raise DataError("min_pts must be >= 1")
 
 
-def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp_init(X: np.ndarray, X_sq: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = len(X)
     centroids = np.empty((k, X.shape[1]))
     centroids[0] = X[rng.integers(n)]
-    closest = sq_dists(X, centroids[:1]).ravel()
+    closest = sq_dists(X, centroids[:1], A_sq=X_sq).ravel()
     for c in range(1, k):
         total = closest.sum()
         if total == 0.0:
@@ -47,50 +47,65 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
             break
         probs = closest / total
         centroids[c] = X[rng.choice(n, p=probs)]
-        closest = np.minimum(closest, sq_dists(X, centroids[c : c + 1]).ravel())
+        closest = np.minimum(closest, sq_dists(X, centroids[c : c + 1], A_sq=X_sq).ravel())
     return centroids
 
 
-def _lloyd(X: np.ndarray, centroids: np.ndarray, max_iter: int = 300):
+def _lloyd(X: np.ndarray, X_sq: np.ndarray, centroids: np.ndarray, max_iter: int = 300):
+    """Lloyd's iterations from ``centroids``, which it updates in place.
+    Returns the centroids, the final assignments and each row's squared
+    distance to its centroid.
+
+    A centroid is its members' sum over their rows in order, taken from
+    X sorted once, stably, by assignment, divided by their count: the
+    bits of ``X[assignments == c].mean(axis=0)``. ``np.add.at`` and
+    ``np.add.reduceat`` sum a single column in another order."""
     k = len(centroids)
     assignments = None
     for _ in range(max_iter):
-        dist = sq_dists(X, centroids)
+        dist = sq_dists(X, centroids, A_sq=X_sq)
         new_assign = np.argmin(dist, axis=1)
         if assignments is not None and np.array_equal(new_assign, assignments):
             break
         assignments = new_assign
-        for c in range(k):
-            members = X[assignments == c]
-            if len(members) == 0:
+        ordered = X[np.argsort(assignments, kind="stable")]
+        lo = 0
+        for c, hi in enumerate(np.cumsum(np.bincount(assignments, minlength=k))):
+            if hi == lo:
                 # re-seed an empty cluster to the worst-fitted point
                 worst = int(np.argmax(dist[np.arange(len(X)), assignments]))
                 centroids[c] = X[worst]
             else:
-                centroids[c] = members.mean(axis=0)
-    dist = sq_dists(X, centroids)
+                centroids[c] = np.add.reduce(ordered[lo:hi], axis=0) / (hi - lo)
+            lo = hi
+    dist = sq_dists(X, centroids, A_sq=X_sq)
     assignments = np.argmin(dist, axis=1)
-    inertia = float(dist[np.arange(len(X)), assignments].sum())
-    return centroids, assignments, inertia
+    return centroids, assignments, dist[np.arange(len(X)), assignments]
+
+
+def _kmeans(X: np.ndarray, k: int, seed: int, restarts: int):
+    """Best of ``restarts`` k-means++/Lloyd runs by within-cluster SSE,
+    as ``_lloyd`` returns it."""
+    if k < 1:
+        raise DataError("k must be >= 1")
+    if k > len(X):
+        raise DataError("k exceeds the number of rows")
+    X_sq = np.sum(X * X, axis=1)
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(max(restarts, 1)):
+        run = _lloyd(X, X_sq, _kmeanspp_init(X, X_sq, k, rng))
+        inertia = float(run[2].sum())
+        if best is None or inertia < best[0]:
+            best = (inertia, run)
+    return best[1]
 
 
 def kmeans_fit(X: np.ndarray, k: int, seed: int = 0, restarts: int = 4) -> KMeansModel:
     """Best of ``restarts`` k-means++/Lloyd runs by within-cluster SSE."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if k < 1:
-        raise DataError("k must be >= 1")
-    if k > len(X):
-        raise DataError("k exceeds the number of rows")
-    rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(max(restarts, 1)):
-        centroids = _kmeanspp_init(X, k, rng)
-        centroids, _, inertia = _lloyd(X, centroids)
-        if best is None or inertia < best[1]:
-            best = (centroids.copy(), inertia)
-    centroids = best[0]
-    train_dist = np.sqrt(sq_dists(X, centroids).min(axis=1))
-    threshold = float(np.quantile(train_dist, 0.99))
+    centroids, _, closest = _kmeans(X, k, seed, restarts)
+    threshold = float(np.quantile(np.sqrt(closest), 0.99))
     return KMeansModel(centroids=centroids, k=k, train_distance_quantile=threshold)
 
 
@@ -150,8 +165,9 @@ def select_k(X: np.ndarray, k_min: int = 2, k_max: int = 10, seed: int = 0) -> i
     dist = np.sqrt(sq_dists(sample, sample))
     best_k, best_score = k_min, -np.inf
     for k in range(k_min, k_max + 1):
-        model = kmeans_fit(sample, k, seed=seed)
-        labels = np.argmin(sq_dists(sample, model.centroids), axis=1)
+        # Lloyd's final assignments: the labels that the centroids of
+        # kmeans_fit(sample, k, seed=seed) give
+        labels = _kmeans(sample, k, seed, restarts=4)[1]
         score = _silhouette(dist, labels)
         if score > best_score:
             best_k, best_score = k, score

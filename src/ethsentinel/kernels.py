@@ -61,26 +61,34 @@ def resolve_gamma(X: np.ndarray, gamma: float | None = None) -> float:
     return 1.0 / (X.shape[1] * var)
 
 
-def sq_dists(A: np.ndarray, B: np.ndarray, B_sq: np.ndarray | None = None) -> np.ndarray:
+def sq_dists(
+    A: np.ndarray,
+    B: np.ndarray,
+    B_sq: np.ndarray | None = None,
+    A_sq: np.ndarray | None = None,
+) -> np.ndarray:
     """Squared Euclidean distances between the rows of A and B, clamped
     at zero: the expanded form rounds below it for near-duplicate rows.
 
     ``B_sq`` is ``np.sum(B * B, axis=1)``, computed once by a caller
-    that measures many row sets against the same fixed B. The result is
-    built in the buffer of ``A @ B.T``, a step of rows at a time, so its
-    temporaries stay near ``_STEP_ENTRIES`` entries.
+    that measures many row sets against the same fixed B; ``A_sq`` is
+    the same for a fixed A measured against many B, as k-means measures
+    its rows against each set of centroids. The result is built in the
+    buffer of ``A @ B.T``, a step of rows at a time, so its temporaries
+    stay near ``_STEP_ENTRIES`` entries.
     """
-    return _distance_steps(A, B, B_sq, None)
+    return _distance_steps(A, B, B_sq, None, A_sq)
 
 
-def _distance_steps(A, B, B_sq, gamma: float | None) -> np.ndarray:
-    """``sq_dists(A, B, B_sq)``, or with a gamma the RBF kernel of those
-    distances: each step of rows is doubled, subtracted from the norms,
-    clamped and, with a gamma, scaled and exponentiated before the next
-    step, while it is still in cache."""
+def _distance_steps(A, B, B_sq, gamma: float | None, A_sq=None) -> np.ndarray:
+    """``sq_dists(A, B, B_sq, A_sq)``, or with a gamma the RBF kernel of
+    those distances: each step of rows is doubled, subtracted from the
+    norms, clamped and, with a gamma, scaled and exponentiated before the
+    next step, while it is still in cache."""
     if B_sq is None:
         B_sq = np.sum(B * B, axis=1)
-    A_sq = np.sum(A * A, axis=1)
+    if A_sq is None:
+        A_sq = np.sum(A * A, axis=1)
     sq = A @ B.T
     step = max(1, _STEP_ENTRIES // max(1, len(B)))
     for lo in range(0, len(A), step):
@@ -212,8 +220,11 @@ def kernel_ridge_fit(
         raise DataError("ridge penalty must be positive")
     gamma = resolve_gamma(X, gamma)
     G = kernel_matrix(X, X, gamma)
+    # the ridge on the diagonal, in place, so that no second n-square
+    # array sits beside the one LAPACK solves on
+    G.flat[:: len(X) + 1] += lam
     try:
-        weights = np.linalg.solve(G + lam * np.eye(len(X)), y)
+        weights = np.linalg.solve(G, y)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"ridge system could not be solved: {exc}") from exc
     if not np.all(np.isfinite(weights)):

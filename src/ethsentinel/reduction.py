@@ -1,13 +1,19 @@
 """Dimensionality-reduction detector bank: PCA reconstruction error,
 isolation forest, and a windowed dense autoencoder.
 
-The isolation forest walks each distinct row (``kernels.DistinctRows``)
-through its trees once and gives every copy that row's score: a row's
-path depends on its values only, and the windows of a mostly-zero
-account repeat. It walks the distinct rows a block at a time
-(``kernels.by_row_blocks``, one entry per tree and row), so a level's
-node arrays hold trees x 128 entries at most, not trees x rows: 0.1 MB
-each for 100 trees, where 5757 rows took 4.6 MB apiece.
+The isolation forest grows all its trees together, a depth level at a
+time: each subsample entry keeps its row and its node, the entries
+sorted by node, and one pair of ``reduceat`` calls per column finds
+the columns that vary within each node, so no tree's subsample matrix
+is copied out. Its nodes are numbered in level order, the roots first
+(see ``IsolationForest``). Scoring walks each distinct row
+(``kernels.DistinctRows``) through the trees once and gives every copy
+that row's score: a row's path depends on its values only, and the
+windows of a mostly-zero account repeat. It walks the distinct rows a
+block at a time (``kernels.by_row_blocks``, one entry per tree and
+row), so a level's node arrays hold trees x 128 entries at most, not
+trees x rows: 0.1 MB each for 100 trees, where 5757 rows took 4.6 MB
+apiece.
 
 PCA uses a cyclic Jacobi eigendecomposition of the covariance matrix.
 It stays although numpy's LAPACK is at hand: acceptance criterion 7
@@ -146,15 +152,19 @@ def average_path_length(n: int) -> float:
 @dataclass(frozen=True)
 class IsolationForest:
     """Isolation trees stored as flat arrays, the nodes of all trees in
-    one set. Node k has the two slots 2k and 2k + 1, and a node is named
-    by its first slot; tree t's root is ``roots[t]``. ``feature``,
-    ``threshold`` and ``path_length`` hold node k's values at both of its
-    slots. A row at node s moves to ``child[s + below]``, where below is
-    1 when its ``feature`` value is below ``threshold``: slot 2k + 1
-    holds the left child and 2k the right one. A leaf has threshold +inf
-    and points to itself from both slots, and its ``path_length`` is its
-    depth plus c(size), the expected path length of the rows it did not
-    separate."""
+    one set, numbered in level order: the roots are nodes 0 to
+    ``tree_count`` - 1, tree t's root node t, and the k-th node that
+    splits has the left child ``tree_count`` + 2k and the right child
+    ``tree_count`` + 2k + 1, so each depth level's nodes follow the
+    level above in order of their parents. Node k has the two slots
+    2k and 2k + 1, and a node is named by its first slot; tree t's root
+    is ``roots[t]``. ``feature``, ``threshold`` and ``path_length`` hold
+    node k's values at both of its slots. A row at node s moves to
+    ``child[s + below]``, where below is 1 when its ``feature`` value is
+    below ``threshold``: slot 2k + 1 holds the left child and 2k the
+    right one. A leaf has threshold +inf and points to itself from both
+    slots, and its ``path_length`` is its depth plus c(size), the
+    expected path length of the rows it did not separate."""
 
     feature: np.ndarray = field(repr=False)
     threshold: np.ndarray = field(repr=False)
@@ -166,57 +176,86 @@ class IsolationForest:
     tree_count: int
 
 
-def _grow_iso(X: np.ndarray, depth: int, limit: int, rng: np.random.Generator, nodes: list) -> int:
-    """Append the tree of ``X`` to ``nodes`` in preorder as (feature,
-    threshold, left, right, path length) entries; returns its root."""
-    n = len(X)
-    index = len(nodes)
-    nodes.append((0, math.inf, index, index, depth + average_path_length(n)))  # a leaf
-    if n <= 1 or depth >= limit:
-        return index
-    lo = X.min(axis=0)
-    hi = X.max(axis=0)
-    usable = np.flatnonzero(hi > lo)
-    if len(usable) == 0:  # all points identical
-        return index
-    # the draw of rng.choice(usable), without its argument checks
-    f = int(usable[rng.integers(len(usable))])
-    threshold = float(rng.uniform(lo[f], hi[f]))
-    mask = X[:, f] < threshold
-    if 0 < np.count_nonzero(mask) < n:
-        left = _grow_iso(X[mask], depth + 1, limit, rng, nodes)
-        right = _grow_iso(X[~mask], depth + 1, limit, rng, nodes)
-        nodes[index] = (f, threshold, left, right, 0.0)
-    return index
-
-
 def iforest_fit(
     X: np.ndarray, tree_count: int = 100, subsample_size: int = 256, seed: int = 0
 ) -> IsolationForest:
-    """Build seeded random isolation trees on subsamples of the data."""
+    """Build seeded random isolation trees on subsamples of the data,
+    all trees a depth level at a time (Liu, Ting & Zhou 2008).
+
+    One generator draws each tree's subsample in tree order, then, level
+    by level, the feature of every node that can split, uniform over the
+    columns that vary within it, in one call, and their thresholds,
+    uniform in [min, max) of that column, in a second. A node is a leaf
+    if it lies at the depth limit, if no column varies within it or if
+    its threshold leaves one side empty."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    n = len(X)
+    n, d = X.shape
     subsample_size = min(subsample_size, n)
     if subsample_size < 2:
         raise DataError("need at least 2 rows per subsample")
     if tree_count < 1:
         raise DataError("need at least one tree")
     limit = int(math.ceil(math.log2(subsample_size)))
-    # independent per-tree streams derived from the master seed
-    seeds = np.random.SeedSequence(seed).spawn(tree_count)
-    nodes: list = []
-    roots = []
-    for ss in seeds:
-        rng = np.random.default_rng(ss)
-        idx = rng.choice(n, size=subsample_size, replace=False)
-        roots.append(_grow_iso(X[idx], 0, limit, rng, nodes))
-    feature, threshold, left, right, path_length = (np.array(a) for a in zip(*nodes))
+    c = np.array([average_path_length(size) for size in range(subsample_size + 1)])
+    rng = np.random.default_rng(seed)
+    # one entry per subsample row of each tree: its row of X and its
+    # node, sorted by node; an entry leaves both once its node is a leaf
+    rows = np.concatenate(
+        [rng.choice(n, size=subsample_size, replace=False) for _ in range(tree_count)]
+    )
+    node = np.repeat(np.arange(tree_count), subsample_size)
+    first = 0  # the level's first node; its nodes hold runs of entries in order
+    splits = 0  # the nodes split on the levels above
+    levels = []
+    for depth in range(limit + 1):
+        starts = np.flatnonzero(np.diff(node, prepend=-1))
+        sizes = np.diff(starts, append=len(node))
+        local = node - first  # an entry's node among the level's
+        # the columns that vary within each node; none at the depth limit
+        varies = np.zeros((len(starts), d), dtype=bool)
+        if depth < limit:
+            for j in range(d):
+                column = X[:, j].take(rows)
+                varies[:, j] = np.maximum.reduceat(column, starts) > np.minimum.reduceat(
+                    column, starts
+                )
+        drawn = varies.any(axis=1)
+        varies = varies[drawn]
+        # a drawn node's feature is its rank-th varying column
+        rank = rng.integers(varies.sum(axis=1))
+        feature = np.zeros(len(starts), dtype=np.intp)
+        feature[drawn] = (np.cumsum(varies, axis=1) <= rank[:, None]).sum(axis=1)
+        values = X[rows, feature[local]]
+        threshold = np.full(len(starts), np.inf)
+        threshold[drawn] = rng.uniform(
+            np.minimum.reduceat(values, starts)[drawn], np.maximum.reduceat(values, starts)[drawn]
+        )
+        below = values < threshold[local]
+        left = np.add.reduceat(below, starts)
+        split = drawn & (left > 0) & (left < sizes)
+        threshold[~split] = np.inf
+        feature[~split] = 0
+        levels.append((split, feature, threshold, np.where(split, 0.0, depth + c[sizes])))
+        # each split node's children, left then right, in node order
+        children = tree_count + 2 * (splits + np.cumsum(split) - 1)
+        keep = split[local]
+        node = (children[local] + ~below)[keep]
+        order = np.argsort(node, kind="stable")
+        node, rows = node[order], rows[keep][order]
+        first += len(starts)
+        splits += int(np.count_nonzero(split))
+        if len(node) == 0:
+            break
+    split, feature, threshold, path_length = (np.concatenate(a) for a in zip(*levels))
+    ids = np.arange(len(split))
+    left = np.where(split, tree_count + 2 * (np.cumsum(split) - 1), ids)
+    right = np.where(split, left + 1, ids)
     return IsolationForest(
-        feature=np.repeat(feature.astype(np.intp), 2),
+        feature=np.repeat(feature, 2),
         threshold=np.repeat(threshold, 2),
-        child=2 * np.column_stack((right, left)).astype(np.intp).ravel(),
+        child=2 * np.column_stack((right, left)).ravel(),
         path_length=np.repeat(path_length, 2),
-        roots=2 * np.array(roots, dtype=np.intp),
+        roots=2 * np.arange(tree_count, dtype=np.intp),
         depth_limit=limit,
         subsample_size=subsample_size,
         tree_count=tree_count,

@@ -89,30 +89,40 @@ def naive_point_flags(window_flags, starts, w, n, start, vote):
 
 def naive_iforest_score(X, tree_count, subsample_size, seed, x):
     """Reference isolation forest: the trees of ``reduction.iforest_fit``
-    (same seeds, same draw order) grown as linked nodes, and each tree
-    walked by partitioning the row indices node by node."""
+    (one generator, the same draws in the same order) grown as linked
+    nodes a depth level at a time, each level's nodes in order: the
+    roots tree by tree, then each parent's left child before its right.
+    Each tree is walked by partitioning the row indices node by node."""
     from ethsentinel.reduction import average_path_length
 
-    def grow(X, depth, limit, rng):
-        n = len(X)
-        if n <= 1 or depth >= limit:
-            return {"size": n}
-        lo = X.min(axis=0)
-        hi = X.max(axis=0)
-        usable = np.flatnonzero(hi > lo)
-        if len(usable) == 0:
-            return {"size": n}
-        f = int(rng.choice(usable))
-        threshold = float(rng.uniform(lo[f], hi[f]))
-        mask = X[:, f] < threshold
-        if not mask.any() or mask.all():
-            return {"size": n}
-        return {
-            "feature": f,
-            "threshold": threshold,
-            "left": grow(X[mask], depth + 1, limit, rng),
-            "right": grow(X[~mask], depth + 1, limit, rng),
-        }
+    def grow(level, limit, rng):
+        """Split the nodes of ``level`` and of every level below, in place."""
+        while level:
+            # the nodes that draw a split, with the columns that vary within them
+            drawn = []
+            for node in level:
+                rows = node.pop("rows")
+                node["size"] = len(rows)
+                lo = rows.min(axis=0)
+                hi = rows.max(axis=0)
+                usable = np.flatnonzero(hi > lo)
+                if node["depth"] < limit and len(usable):
+                    drawn.append((node, rows, usable, lo, hi))
+            features = [int(usable[rng.integers(len(usable))]) for _, _, usable, _, _ in drawn]
+            thresholds = [
+                float(rng.uniform(lo[f], hi[f])) for (_, _, _, lo, hi), f in zip(drawn, features)
+            ]
+            level = []
+            for (node, rows, _, _, _), f, threshold in zip(drawn, features, thresholds):
+                mask = rows[:, f] < threshold
+                if not mask.any() or mask.all():
+                    continue
+                depth = node["depth"] + 1
+                node["feature"] = f
+                node["threshold"] = threshold
+                node["left"] = {"rows": rows[mask], "depth": depth}
+                node["right"] = {"rows": rows[~mask], "depth": depth}
+                level += [node["left"], node["right"]]
 
     def path_lengths(root, rows):
         out = np.empty(len(rows))
@@ -132,11 +142,12 @@ def naive_iforest_score(X, tree_count, subsample_size, seed, x):
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     subsample_size = min(subsample_size, len(X))
     limit = int(math.ceil(math.log2(subsample_size)))
-    trees = []
-    for ss in np.random.SeedSequence(seed).spawn(tree_count):
-        rng = np.random.default_rng(ss)
-        idx = rng.choice(len(X), size=subsample_size, replace=False)
-        trees.append(grow(X[idx], 0, limit, rng))
+    rng = np.random.default_rng(seed)
+    trees = [
+        {"rows": X[rng.choice(len(X), size=subsample_size, replace=False)], "depth": 0}
+        for _ in range(tree_count)
+    ]
+    grow(trees, limit, rng)
     x = np.asarray(x, dtype=np.float64)
     rows = np.atleast_2d(x)
     mean_path = np.zeros(len(rows))
@@ -239,6 +250,63 @@ def naive_select_k(X, k_min=2, k_max=10, seed=0):
         scores[k] = silhouette_score(X, labels)
     # the first k of the highest score
     return max(scores, key=lambda k: (scores[k], -k)) if scores else k_min
+
+
+def naive_kmeans_fit(X, k, seed=0, restarts=4):
+    """Reference ``clustering.kmeans_fit``: the k-means++/Lloyd fit with
+    each centroid the mean of a boolean mask's members, cluster by
+    cluster, every distance with its own row norms. Returns (centroids,
+    k, 0.99 quantile of the training distances)."""
+    from ethsentinel.kernels import sq_dists
+
+    def kmeanspp_init(X, k, rng):
+        n = len(X)
+        centroids = np.empty((k, X.shape[1]))
+        centroids[0] = X[rng.integers(n)]
+        closest = sq_dists(X, centroids[:1]).ravel()
+        for c in range(1, k):
+            total = closest.sum()
+            if total == 0.0:
+                centroids[c:] = centroids[0]
+                break
+            probs = closest / total
+            centroids[c] = X[rng.choice(n, p=probs)]
+            closest = np.minimum(closest, sq_dists(X, centroids[c : c + 1]).ravel())
+        return centroids
+
+    def lloyd(X, centroids, max_iter=300):
+        k = len(centroids)
+        assignments = None
+        for _ in range(max_iter):
+            dist = sq_dists(X, centroids)
+            new_assign = np.argmin(dist, axis=1)
+            if assignments is not None and np.array_equal(new_assign, assignments):
+                break
+            assignments = new_assign
+            for c in range(k):
+                members = X[assignments == c]
+                if len(members) == 0:
+                    # re-seed an empty cluster to the worst-fitted point
+                    worst = int(np.argmax(dist[np.arange(len(X)), assignments]))
+                    centroids[c] = X[worst]
+                else:
+                    centroids[c] = members.mean(axis=0)
+        dist = sq_dists(X, centroids)
+        assignments = np.argmin(dist, axis=1)
+        inertia = float(dist[np.arange(len(X)), assignments].sum())
+        return centroids, assignments, inertia
+
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(max(restarts, 1)):
+        centroids = kmeanspp_init(X, k, rng)
+        centroids, _, inertia = lloyd(X, centroids)
+        if best is None or inertia < best[1]:
+            best = (centroids.copy(), inertia)
+    centroids = best[0]
+    train_dist = np.sqrt(sq_dists(X, centroids).min(axis=1))
+    return centroids, k, float(np.quantile(train_dist, 0.99))
 
 
 def naive_silhouette(X, labels):

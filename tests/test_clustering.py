@@ -21,6 +21,7 @@ from oracles import (
     NOISE,
     naive_dbscan,
     naive_estimate_eps,
+    naive_kmeans_fit,
     naive_select_k,
     naive_silhouette,
     same_partition,
@@ -134,6 +135,29 @@ def test_kmeans_deterministic_given_seed():
     m1 = kmeans_fit(X, 2, seed=9)
     m2 = kmeans_fit(X, 2, seed=9)
     assert np.array_equal(m1.centroids, m2.centroids)
+
+
+def kmeans_rows(name, d, seed):
+    rng = np.random.default_rng(seed)
+    if name == "dense":
+        return rng.standard_normal((600, d)) + 4.0 * rng.integers(0, 3, (600, 1))
+    return np.where(rng.random((600, d)) < 0.05, rng.integers(1, 4, (600, d)), 0).astype(float)
+
+
+@pytest.mark.parametrize("d", [1, 5, 15])
+@pytest.mark.parametrize("name", ["dense", "mostly_zero"])
+def test_kmeans_fit_equals_the_mask_mean_oracle(name, d):
+    X = kmeans_rows(name, d, 17 + d)
+    if name == "mostly_zero" and d == 1:
+        # 4 distinct rows: with k = 7, every assignment leaves a cluster
+        # empty, and Lloyd's step reseeds it at the worst-fitted row
+        assert len(np.unique(X)) < 7
+    for k in (1, 3, 7):
+        model = kmeans_fit(X, k, seed=k)
+        centroids, k_, threshold = naive_kmeans_fit(X, k, seed=k)
+        assert np.array_equal(model.centroids, centroids)
+        assert model.k == k_
+        assert model.train_distance_quantile == threshold
 
 
 def test_silhouette_hand_computed():

@@ -23,12 +23,12 @@ GOLDEN = {
     # (rate, seed, days): a synthetic stream, default SynthConfig apart
     # from these; "sparse-4day" is the benchmark's batch-sparse input
     "dense": (6.0, 3, 1, "9d917203459bcc999ecb331062bb75754a03daae5c7b69893e58ef4422487f6a"),
-    "sparse": (0.02, 3, 1, "81c8428cd677938f3a27f158bafa39527e2bdc16915bf2e93e4be228dcc9bf87"),
+    "sparse": (0.02, 3, 1, "cf5098d4af52c248a222b7103451f66b1a65b38996c8bf881ff897b6f9fa4678"),
     "sparse-4day": (
         0.02,
         1,
         4,
-        "187fa50d6855429ac9649ac21930759112a486f849fa17972aeeded9f08e32c5",
+        "57fd8c1d9bb1e331e0fd35a40522c41bfc5c8018fbe3af357883bc1b6ceefc86",
     ),
 }
 
@@ -80,7 +80,7 @@ def test_batch_report_digest_with_two_blas_threads(name):
 # two hours of database, 41 one-cell advances, one retrain (at advance
 # 25) and a spike at advance 15
 STREAM_DATABASE = 2 * 3600
-STREAM_GOLDEN = "7f6eb983f0dc3fb12e652052308a7a87eb9ba620f302cd61391f2efd085df763"
+STREAM_GOLDEN = "2c293a5f823f8c1a80d5bb60929c294b0744faba08205611cd27a189d3f95478"
 
 
 def stream_replay():

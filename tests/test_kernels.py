@@ -5,6 +5,7 @@ oracle on tiny problems."""
 import ast
 import functools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -310,6 +311,32 @@ def test_kernel_ridge_interpolates_at_tiny_lambda():
     model = kernel_ridge_fit(X, y, 1e-10, gamma=1.0)
     preds = kernel_ridge_predict(model, X)
     assert np.allclose(preds, y, atol=1e-5)
+
+
+def test_kernel_ridge_adds_the_ridge_in_place(monkeypatch):
+    rng = np.random.default_rng(12)
+    X = rng.standard_normal((512, 5))
+    y = np.sin(X.sum(axis=1))
+    gram = len(X) ** 2 * 8
+    model = kernel_ridge_fit(X, y, 1.0)
+    # RBF entries are never -0.0, so adding lam * I leaves every
+    # off-diagonal bit as it is
+    G = kernel_matrix(X, X, model.gamma)
+    assert np.array_equal(model.dual_weights, np.linalg.solve(G + 1.0 * np.eye(len(X)), y))
+    held = []
+    solve = np.linalg.solve
+
+    def recording(a, b):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    peak = traced_peak(lambda: kernel_ridge_fit(X, y, 1.0))
+    # G + lam * I held a second n-square array beside the Gram while
+    # LAPACK solved on a third, its own copy
+    assert held[0] < 1.5 * gram
+    # the peak is kernel_matrix's: its distance buffer and norm sums
+    assert peak < 2.1 * gram
 
 
 def dense_grid_dual_minimum(G, C, steps=2000):

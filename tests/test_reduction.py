@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ethsentinel import kernels
 from ethsentinel.errors import DataError
@@ -217,6 +219,104 @@ def test_iforest_score_holds_one_block_per_level():
     X = rng.standard_normal((5757, 5))
     forest = iforest_fit(X, 100, 256, seed=0)
     assert traced_peak(lambda: iforest_score(forest, X)) < 2 * 2**20
+
+
+def test_iforest_fit_holds_no_subsample_matrix():
+    # 100 trees of 256 rows of 15 columns would be 3.1 MB; the fit keeps
+    # one row index and one node per subsample entry, and per node the
+    # bits of the columns that vary. The node-by-node grower traced 2.9 MB
+    X = np.random.default_rng(0).standard_normal((5757, 15))
+    assert traced_peak(lambda: iforest_fit(X, 100, 256, seed=0)) < 2.9e6
+
+
+def test_iforest_root_feature_is_uniform_over_the_varying_columns():
+    # columns 1 and 4 are constant; each root draws among the other four
+    rng = np.random.default_rng(15)
+    X = rng.standard_normal((64, 6))
+    X[:, 1] = 2.0
+    X[:, 4] = 0.0
+    counts = np.zeros(6, dtype=int)
+    for seed in range(200):
+        forest = iforest_fit(X, 5, 32, seed=seed)
+        split = np.isfinite(forest.threshold[::2])
+        assert not np.isin(forest.feature[::2][split], [1, 4]).any()
+        roots = forest.roots[split[forest.roots // 2]]
+        counts += np.bincount(forest.feature[roots], minlength=6)
+    observed = counts[[0, 2, 3, 5]]
+    expected = observed.sum() / 4
+    # chi-square with 3 degrees of freedom; 16.27 is its 0.999 quantile
+    assert np.sum((observed - expected) ** 2 / expected) < 16.27
+
+
+@pytest.mark.parametrize("subsample", [16, 64, 256])
+def test_iforest_mean_path_length_on_iid_rows_is_near_c(subsample):
+    # E[h(x)] = c(subsample) is the calibration behind the score 0.5 of
+    # a row like the rest; random-threshold trees run a few percent
+    # short of it (0.92-0.98 c on these fixtures, as the node-by-node
+    # grower did)
+    rng = np.random.default_rng(16)
+    X = rng.uniform(size=(2000, 4))
+    forest = iforest_fit(X, 100, subsample, seed=1)
+    c = average_path_length(subsample)
+    paths = -np.log2(iforest_score(forest, rng.uniform(size=(2000, 4)))) * c
+    assert abs(paths.mean() / c - 1.0) < 0.1
+
+
+def forest_nodes(forest, X, tree):
+    """(slot, depth, rows of X that reach it) of each node of a tree."""
+    stack = [(int(forest.roots[tree]), 0, np.arange(len(X)))]
+    while stack:
+        slot, depth, idx = stack.pop()
+        yield slot, depth, idx
+        if np.isfinite(forest.threshold[slot]):
+            below = X[idx, forest.feature[slot]] < forest.threshold[slot]
+            stack.append((int(forest.child[slot + 1]), depth + 1, idx[below]))
+            stack.append((int(forest.child[slot]), depth + 1, idx[~below]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 12).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), min_size=3, max_size=3),
+            min_size=n,
+            max_size=n,
+        )
+    ),
+    st.integers(0, 2),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+)
+def test_iforest_trees_partition_their_subsample(rows, constant, trees, seed):
+    # every subsample is all of X: rows repeat, column `constant` never varies
+    X = np.array(rows)
+    X[:, constant] = 0.5
+    n = len(X)
+    forest = iforest_fit(X, trees, 2 * n, seed=seed)
+    assert forest.subsample_size == n
+    limit = forest.depth_limit
+    reached = []
+    for tree in range(trees):
+        leaves = []
+        for slot, depth, idx in forest_nodes(forest, X, tree):
+            reached.append(slot)
+            assert len(idx) > 0 and depth <= limit
+            if np.isfinite(forest.threshold[slot]):
+                values = X[idx, forest.feature[slot]]
+                assert depth < limit
+                assert values.min() <= forest.threshold[slot] < values.max()
+            else:
+                assert forest.child[slot] == forest.child[slot + 1] == slot
+                assert forest.path_length[slot] == depth + average_path_length(len(idx))
+                leaves.append(idx)
+        assert np.array_equal(np.sort(np.concatenate(leaves)), np.arange(n))
+    # every node belongs to one tree, and the k-th node that splits has
+    # the children trees + 2k (left) and trees + 2k + 1 (right)
+    assert np.array_equal(np.sort(reached), np.arange(0, len(forest.feature), 2))
+    split = np.isfinite(forest.threshold[::2])
+    left = forest.child[1::2][split] // 2
+    assert np.array_equal(left, trees + 2 * np.arange(np.count_nonzero(split)))
+    assert np.array_equal(forest.child[::2][split] // 2, left + 1)
 
 
 def test_ae_gradients_match_central_differences():
