@@ -71,8 +71,8 @@ class EngineConfig:
     iforest_cutoff: float = 0.6
     ae_window: int = 32
     ae_hidden: int = 8
-    ae_epochs: int = 200
-    ae_learning_rate: float = 0.01
+    ae_epochs: int = 200  # a cap: training stops once an epoch barely lowers the loss
+    ae_learning_rate: float = 0.01  # each epoch's first trial step, halved until Armijo holds
     # clustering bank
     kmeans_k: int = 0  # 0: silhouette selection over 2..10
     kmeans_k_max: int = 10

@@ -439,9 +439,7 @@ def _fit_iforest(rows, config, seed):
 
 
 def _fit_ae(rows, config, seed):
-    model = reduction.ae_train(
-        rows, config.ae_hidden, config.ae_epochs, config.ae_learning_rate, seed=seed
-    )
+    model = reduction.ae_train(rows, config.ae_hidden, config.ae_epochs, config.ae_learning_rate)
     # mean + residual_multiplier * std of the errors the fit already computed
     threshold = model.training_error_mean + config.residual_multiplier * model.training_error_std
     return {"model": model, "threshold": threshold}

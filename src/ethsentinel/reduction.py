@@ -22,15 +22,29 @@ solver in its place would move the PCA scores in their last digits,
 which makes the swap a change of outputs, not a refactor.
 
 The autoencoder is a single tanh bottleneck trained by full-batch
-gradient descent on the mean squared reconstruction error. An epoch
-works in the bottleneck space, over the distinct training windows
-(``kernels.DistinctRows``), each weighted by its count: one product of
-the distinct windows with [W1; W2'] gives the pre-activation and W2'x,
-and the count-weighted Gram terms H'H, H'X and the sum of H give the
-gradients and the loss, with the float weights and the sums of x and
-of |x|^2 taken once per fit (``_ae_sums``). No epoch builds the
-n x w output or its residual; one forward pass over the distinct
-windows after the last epoch gives the per-window training errors.
+gradient descent on the mean squared reconstruction error. It starts
+from the principal subspace of the training windows, where the optimum
+of a linear autoencoder lies (Baldi & Hornik 1989): the top
+eigenvectors V of their count-weighted covariance (``np.linalg.eigh``;
+``jacobi_eigh`` costs more than the whole fit here and stays pinned to
+PCA) give W1 = s V', b1 = -W1 mu, W2 = V / s and b2 = mu, with s small
+enough (0.1 / sqrt of the top eigenvalue) that tanh stays near-linear,
+so the start reconstructs nearly as the rank-``hidden`` projection
+does. Each epoch is one backtracking step that meets the Armijo
+condition (Nocedal & Wright 2006, Alg. 3.1), tried first at the
+learning rate and halved until it does, so the loss never rises.
+Training stops at the first epoch that improves the loss by at most a
+relative ``AE_TOLERANCE``, which on the engine's windows is the first
+few; the epoch count is a cap. A pass works in the bottleneck space,
+over the distinct training windows (``kernels.DistinctRows``), each
+weighted by its count: one product of the distinct windows with
+[W1; W2'] gives the pre-activation and W2'x, and the count-weighted
+Gram terms H'H, H'X and the sum of H give the gradients and the loss,
+with the float weights and the sums of x and of |x|^2 taken once per
+fit (``_ae_sums``). The pass that tests a trial step gives the next
+epoch's gradients. No pass builds the n x w output or its residual;
+one forward pass over the distinct windows after the last epoch gives
+the per-window training errors.
 """
 
 from __future__ import annotations
@@ -46,6 +60,12 @@ from .kernels import DistinctRows, by_row_blocks
 
 JACOBI_TOLERANCE = 1e-12
 JACOBI_MAX_SWEEPS = 100
+
+# the autoencoder's start and step rule (see ``ae_train``)
+AE_START_SCALE = 0.1  # tanh input std along the top principal direction
+AE_TOLERANCE = 1e-4  # stop once an epoch improves the loss by at most this share
+ARMIJO_C = 1e-4  # the sufficient-decrease constant
+ARMIJO_HALVINGS = 30  # trial steps an epoch tries before it keeps its weights
 
 
 def jacobi_eigh(A: np.ndarray):
@@ -367,40 +387,75 @@ def ae_loss(W1, b1, W2, b2, X):
     return _ae_pass(W1, b1, W2, b2, windows, _ae_sums(windows))[0]
 
 
+def _ae_start(windows: DistinctRows, sums, hidden: int):
+    """Weights whose reconstruction is the rank-``hidden`` principal
+    projection of the windows, up to tanh's curvature: W1 = s V', b1 =
+    -W1 mu, W2 = V / s and b2 = mu, where V holds the top ``hidden``
+    eigenvectors of the count-weighted covariance and s puts the tanh
+    input along the top direction at a standard deviation of
+    ``AE_START_SCALE``."""
+    weights, x_sum, _ = sums
+    total = len(windows.inverse)
+    mean = x_sum / total
+    centred = windows.rows - mean
+    eigenvalues, vectors = np.linalg.eigh((centred.T * weights) @ centred / total)
+    top = vectors[:, : -hidden - 1 : -1]
+    # a constant set of windows has no spread to scale by
+    scale = AE_START_SCALE / math.sqrt(eigenvalues[-1]) if eigenvalues[-1] > 0.0 else 1.0
+    W1 = scale * top.T
+    return W1, -(W1 @ mean), top / scale, mean
+
+
+def _ae_descend(params, windows: DistinctRows, sums, epochs: int, learning_rate: float):
+    """Full-batch gradient descent from ``params``, one Armijo step an
+    epoch: the trial step starts at ``learning_rate`` and halves until
+    the loss falls by ``ARMIJO_C`` times the step times the squared
+    gradient norm. The pass that tests a trial step gives the next
+    epoch's gradients. Stops after ``epochs`` epochs, or after the first
+    that improves the loss by at most ``AE_TOLERANCE`` of it, or that
+    finds no such step in ``ARMIJO_HALVINGS`` halvings and keeps its
+    weights. Returns the weights and the loss after each epoch."""
+    loss, grads = _ae_pass(*params, windows, sums)
+    if not math.isfinite(loss):
+        raise NumericError("non-finite training loss at the start")
+    history = []
+    for _ in range(epochs):
+        slope = sum(float(np.sum(g * g)) for g in grads)
+        step = learning_rate
+        new_loss = loss
+        for _ in range(ARMIJO_HALVINGS):
+            trial = [p - step * g for p, g in zip(params, grads)]
+            trial_loss, trial_grads = _ae_pass(*trial, windows, sums)
+            if trial_loss <= loss - ARMIJO_C * step * slope:
+                params, grads, new_loss = trial, trial_grads, trial_loss
+                break
+            step /= 2.0
+        history.append(new_loss)
+        # the expanded loss can round below zero on a perfect fit
+        if loss - new_loss <= AE_TOLERANCE * max(loss, 0.0):
+            break
+        loss = new_loss
+    return params, np.array(history)
+
+
 def ae_train(
-    windows: np.ndarray,
-    hidden: int,
-    epochs: int = 200,
-    learning_rate: float = 0.01,
-    seed: int = 0,
+    windows: np.ndarray, hidden: int, epochs: int = 200, learning_rate: float = 0.01
 ) -> AutoencoderModel:
+    """Fit the autoencoder from the principal-subspace start
+    (``_ae_start``) by Armijo steps (``_ae_descend``); ``epochs`` caps
+    the steps and ``learning_rate`` is each one's first trial step."""
     X = np.atleast_2d(np.asarray(windows, dtype=np.float64))
     n, w = X.shape
     if hidden >= w:
         raise DataError("hidden size must be smaller than the window (bottleneck)")
     if n < 10:
         raise DataError("need at least 10 training windows")
-    rng = np.random.default_rng(seed)
-    r = math.sqrt(6.0 / (w + hidden))
-    W1 = rng.uniform(-r, r, size=(hidden, w))
-    b1 = np.zeros(hidden)
-    W2 = rng.uniform(-r, r, size=(w, hidden))
-    b2 = np.zeros(w)
-    history = np.empty(epochs)
+    if not np.all(np.isfinite(X)):
+        raise NumericError("non-finite input to the autoencoder")
     train = DistinctRows.of(X)
     sums = _ae_sums(train)
-    # one pass per epoch: the pass after an update gives that update's
-    # loss and the next update's gradients
-    _, (gW1, gb1, gW2, gb2) = _ae_pass(W1, b1, W2, b2, train, sums)
-    for epoch in range(epochs):
-        W1 -= learning_rate * gW1
-        b1 -= learning_rate * gb1
-        W2 -= learning_rate * gW2
-        b2 -= learning_rate * gb2
-        loss, (gW1, gb1, gW2, gb2) = _ae_pass(W1, b1, W2, b2, train, sums)
-        if not math.isfinite(loss):
-            raise NumericError(f"non-finite training loss at epoch {epoch}")
-        history[epoch] = loss
+    start = _ae_start(train, sums, hidden)
+    (W1, b1, W2, b2), history = _ae_descend(start, train, sums, epochs, learning_rate)
     _, out = _ae_forward(W1, b1, W2, b2, train.rows)
     errors = np.mean((out - train.rows) ** 2, axis=1)[train.inverse]
     return AutoencoderModel(

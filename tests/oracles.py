@@ -354,30 +354,45 @@ def naive_ae_loss(W1, b1, W2, b2, X):
     return float(np.mean((out - X) ** 2))
 
 
-def naive_ae_train(X, hidden, epochs, learning_rate, seed):
-    """Reference autoencoder training: fresh gradients and a second
-    forward pass for the loss after each update. Returns the weights,
-    the loss history and the training errors per window."""
-    from ethsentinel.reduction import _ae_forward, ae_gradients, ae_loss
+def naive_ae_train(X, hidden, epochs, learning_rate):
+    """Reference autoencoder training: from ``ae_train``'s start, fresh
+    gradients and a separate loss pass at each epoch's weights and at
+    every trial step of its Armijo search. Returns the weights, the loss
+    history and the training errors per window."""
+    from ethsentinel.kernels import DistinctRows
+    from ethsentinel.reduction import (
+        AE_TOLERANCE,
+        ARMIJO_C,
+        ARMIJO_HALVINGS,
+        _ae_forward,
+        _ae_start,
+        _ae_sums,
+        ae_gradients,
+        ae_loss,
+    )
 
-    n, w = X.shape
-    rng = np.random.default_rng(seed)
-    r = math.sqrt(6.0 / (w + hidden))
-    W1 = rng.uniform(-r, r, size=(hidden, w))
-    b1 = np.zeros(hidden)
-    W2 = rng.uniform(-r, r, size=(w, hidden))
-    b2 = np.zeros(w)
-    history = np.empty(epochs)
-    for epoch in range(epochs):
-        gW1, gb1, gW2, gb2 = ae_gradients(W1, b1, W2, b2, X)
-        W1 -= learning_rate * gW1
-        b1 -= learning_rate * gb1
-        W2 -= learning_rate * gW2
-        b2 -= learning_rate * gb2
-        history[epoch] = ae_loss(W1, b1, W2, b2, X)
-    _, out = _ae_forward(W1, b1, W2, b2, X)
+    windows = DistinctRows.of(X)
+    params = _ae_start(windows, _ae_sums(windows), hidden)
+    history = []
+    for _ in range(epochs):
+        loss = ae_loss(*params, X)
+        grads = ae_gradients(*params, X)
+        slope = sum(float(np.sum(g * g)) for g in grads)
+        step = learning_rate
+        new_loss = loss
+        for _ in range(ARMIJO_HALVINGS):
+            trial = [p - step * g for p, g in zip(params, grads)]
+            trial_loss = ae_loss(*trial, X)
+            if trial_loss <= loss - ARMIJO_C * step * slope:
+                params, new_loss = trial, trial_loss
+                break
+            step /= 2.0
+        history.append(new_loss)
+        if loss - new_loss <= AE_TOLERANCE * max(loss, 0.0):
+            break
+    _, out = _ae_forward(*params, X)
     errors = np.mean((out - X) ** 2, axis=1)
-    return (W1, b1, W2, b2), history, errors
+    return params, np.array(history), errors
 
 
 def naive_long_ar_design(w, lags):

@@ -23,12 +23,12 @@ GOLDEN = {
     # (rate, seed, days): a synthetic stream, default SynthConfig apart
     # from these; "sparse-4day" is the benchmark's batch-sparse input
     "dense": (6.0, 3, 1, "9d917203459bcc999ecb331062bb75754a03daae5c7b69893e58ef4422487f6a"),
-    "sparse": (0.02, 3, 1, "cf5098d4af52c248a222b7103451f66b1a65b38996c8bf881ff897b6f9fa4678"),
+    "sparse": (0.02, 3, 1, "aab587689a36148560c79e537dcca153e75194d361050a8329fa56369fc19f97"),
     "sparse-4day": (
         0.02,
         1,
         4,
-        "57fd8c1d9bb1e331e0fd35a40522c41bfc5c8018fbe3af357883bc1b6ceefc86",
+        "2833fc95b15ad8607e25816218d52499aca9790d582d6842a41dfed1a506917f",
     ),
 }
 

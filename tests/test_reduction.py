@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ethsentinel import kernels
-from ethsentinel.errors import DataError
+from ethsentinel import kernels, reduction
+from ethsentinel.errors import DataError, NumericError
 from ethsentinel.reduction import (
     ae_gradients,
     ae_loss,
@@ -353,8 +353,8 @@ def test_ae_train_matches_two_pass_oracle(rows, width, hidden, epochs):
     # one forward pass per epoch gives the same floats as a gradient
     # pass plus a separate loss pass after each update
     X = np.random.default_rng(rows).standard_normal((rows, width))
-    model = ae_train(X, hidden, epochs, 0.01, seed=5)
-    weights, history, errors = naive_ae_train(X, hidden, epochs, 0.01, seed=5)
+    model = ae_train(X, hidden, epochs, 0.01)
+    weights, history, errors = naive_ae_train(X, hidden, epochs, 0.01)
     for got, want in zip((model.W1, model.b1, model.W2, model.b2), weights):
         assert np.array_equal(got, want)
     assert np.array_equal(model.loss_history, history)
@@ -410,9 +410,9 @@ def test_ae_train_depends_on_the_distinct_windows_and_their_share(repeated):
         assert len(np.unique(X, axis=0)) < len(X) / 2
     else:
         X = rng.standard_normal((120, 8))
-    model = ae_train(X, 3, 50, 0.01, seed=2)
-    shuffled = ae_train(X[rng.permutation(len(X))], 3, 50, 0.01, seed=2)
-    doubled = ae_train(np.repeat(X, 2, axis=0), 3, 50, 0.01, seed=2)
+    model = ae_train(X, 3, 50, 0.01)
+    shuffled = ae_train(X[rng.permutation(len(X))], 3, 50, 0.01)
+    doubled = ae_train(np.repeat(X, 2, axis=0), 3, 50, 0.01)
     for other in (shuffled, doubled):
         for name in ("W1", "b1", "W2", "b2", "loss_history"):
             assert np.array_equal(getattr(other, name), getattr(model, name)), name
@@ -424,16 +424,110 @@ def test_ae_train_depends_on_the_distinct_windows_and_their_share(repeated):
 def test_ae_training_loss_monotone():
     rng = np.random.default_rng(7)
     windows = rng.standard_normal((40, 8))
-    model = ae_train(windows, hidden=3, epochs=100, learning_rate=0.01, seed=0)
+    model = ae_train(windows, hidden=3, epochs=100, learning_rate=0.01)
     losses = np.asarray(model.loss_history)
-    assert len(losses) >= 100
+    assert 1 <= len(losses) <= 100
     assert np.all(np.diff(losses) <= 1e-12)
+
+
+def _linear_bound(X, hidden):
+    """The least mean squared error of any rank-``hidden`` affine
+    reconstruction of the rows of X (Eckart-Young), from the singular
+    values of the centred rows, each repeated row as often as it occurs."""
+    singular = np.linalg.svd(X - X.mean(axis=0), compute_uv=False)
+    return float(np.sum(singular[hidden:] ** 2)) / X.size
+
+
+@pytest.mark.parametrize("name", ["dense", "sparse-repeated"])
+def test_ae_train_reaches_the_linear_bound_in_few_epochs(name):
+    X, _ = _ae_inputs(name)
+    epochs = 200
+    model = ae_train(X, 8, epochs, 0.01)
+    assert model.loss_history[-1] <= 1.10 * _linear_bound(X, 8)
+    # the stop rule ends the fit, not the epoch cap
+    assert len(model.loss_history) <= epochs // 20
+
+
+def _low_rank_windows():
+    rng = np.random.default_rng(13)
+    return rng.standard_normal((120, 3)) @ rng.standard_normal((3, 12)) + 0.1 * rng.standard_normal(
+        (120, 12)
+    )
+
+
+def test_ae_train_matches_two_pass_oracle_through_trial_steps(monkeypatch):
+    # a first trial step too long to pass the Armijo test, on windows
+    # whose fit takes several epochs: the pass that tests a trial step
+    # gives the next epoch's gradients, as fresh passes would
+    X = _low_rank_windows()
+    passes = []
+    real_pass = reduction._ae_pass
+
+    def counted_pass(*args):
+        passes.append(args)
+        return real_pass(*args)
+
+    monkeypatch.setattr(reduction, "_ae_pass", counted_pass)
+    model = ae_train(X, 4, 50, 10.0)
+    monkeypatch.undo()
+    weights, history, errors = naive_ae_train(X, 4, 50, 10.0)
+    assert len(history) > 1
+    assert len(passes) > len(history) + 1  # some epoch halved its step
+    for got, want in zip((model.W1, model.b1, model.W2, model.b2), weights):
+        assert np.array_equal(got, want)
+    assert np.array_equal(model.loss_history, history)
+    assert model.training_error_mean == float(errors.mean())
+    assert np.all(np.diff(history) <= 0.0)
+
+
+@pytest.mark.parametrize("case", ["identical", "fewer-distinct-than-hidden", "tied-top"])
+def test_ae_train_on_degenerate_windows(case):
+    # any numpy warning is an error under the pytest settings, so a 0/0
+    # in the start's scale fails here
+    rng = np.random.default_rng(14)
+    if case == "identical":  # zero covariance, top eigenvalue 0
+        X, hidden = np.tile(rng.standard_normal(8), (20, 1)), 3
+    elif case == "fewer-distinct-than-hidden":
+        X, hidden = np.repeat(rng.standard_normal((3, 8)), 10, axis=0), 5
+    else:  # the covariance is 1.5 I: every eigenvalue ties
+        X, hidden = np.tile(np.vstack((3.0 * np.eye(6), -3.0 * np.eye(6))), (2, 1)), 2
+    model = ae_train(X, hidden, 50, 0.01)
+    for name in ("W1", "b1", "W2", "b2", "loss_history"):
+        assert np.all(np.isfinite(getattr(model, name))), name
+    assert math.isfinite(model.training_error_mean)
+    assert math.isfinite(model.training_error_std)
+    assert np.all(np.isfinite(ae_score(model, X)))
+    if case != "tied-top":
+        assert model.loss_history[-1] <= 1e-20
+
+
+def test_ae_train_rejects_non_finite_windows():
+    X = np.random.default_rng(15).standard_normal((20, 6))
+    X[3, 2] = np.nan
+    with pytest.raises(NumericError):
+        ae_train(X, 2, 50, 0.01)
+
+
+def test_ae_start_is_equivalent_under_an_eigenvector_sign():
+    # tanh is odd, so negating one bottleneck unit's input and output
+    # weights moves no reconstruction, before training or after it
+    X = _low_rank_windows()
+    windows = kernels.DistinctRows.of(X)
+    sums = reduction._ae_sums(windows)
+    start = reduction._ae_start(windows, sums, 4)
+    W1, b1, W2, b2 = (p.copy() for p in start)
+    W1[1], b1[1], W2[:, 1] = -W1[1], -b1[1], -W2[:, 1]
+    flipped = (W1, b1, W2, b2)
+    assert ae_loss(*flipped, X) == pytest.approx(ae_loss(*start, X), rel=1e-12, abs=0.0)
+    _, history = reduction._ae_descend(start, windows, sums, 50, 0.01)
+    _, flipped_history = reduction._ae_descend(flipped, windows, sums, 50, 0.01)
+    assert flipped_history[-1] == pytest.approx(history[-1], rel=1e-12, abs=0.0)
 
 
 def test_ae_score_is_reconstruction_error():
     rng = np.random.default_rng(8)
     windows = rng.standard_normal((40, 6))
-    model = ae_train(windows, hidden=2, epochs=50, learning_rate=0.01, seed=0)
+    model = ae_train(windows, hidden=2, epochs=50, learning_rate=0.01)
     typical = float(np.mean(ae_score(model, windows)))
     weird = float(ae_score(model, 10.0 * np.ones((1, 6)))[0])
     assert weird > typical
