@@ -151,8 +151,11 @@ def _silhouette(dist: np.ndarray, labels: np.ndarray) -> float:
     return float(sil.mean())
 
 
-def select_k(X: np.ndarray, k_min: int = 2, k_max: int = 10, seed: int = 0) -> int:
-    """Pick k by silhouette score; subsamples large inputs for the O(n^2)
+def select_k(
+    X: np.ndarray, k_min: int = 2, k_max: int = 10, seed: int = 0, restarts: int = 4
+) -> int:
+    """Pick k by silhouette score, each k's labels the best of
+    ``restarts`` k-means runs; subsamples large inputs for the O(n^2)
     part, whose distance matrix serves every k."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     rng = np.random.default_rng(seed)
@@ -166,8 +169,8 @@ def select_k(X: np.ndarray, k_min: int = 2, k_max: int = 10, seed: int = 0) -> i
     best_k, best_score = k_min, -np.inf
     for k in range(k_min, k_max + 1):
         # Lloyd's final assignments: the labels that the centroids of
-        # kmeans_fit(sample, k, seed=seed) give
-        labels = _kmeans(sample, k, seed, restarts=4)[1]
+        # kmeans_fit(sample, k, seed, restarts) give
+        labels = _kmeans(sample, k, seed, restarts)[1]
         score = _silhouette(dist, labels)
         if score > best_score:
             best_k, best_score = k, score

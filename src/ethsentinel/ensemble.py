@@ -381,7 +381,7 @@ def _lag_scorer(predict):
 def _fit_kmeans(rows, config, seed):
     k = config.kmeans_k
     if k == 0:
-        k = clustering.select_k(rows, 2, config.kmeans_k_max, seed=seed)
+        k = clustering.select_k(rows, 2, config.kmeans_k_max, seed, config.kmeans_restarts)
     model = clustering.kmeans_fit(rows, k, seed=seed, restarts=config.kmeans_restarts)
     return {"model": model, "threshold": model.train_distance_quantile}
 
@@ -730,7 +730,7 @@ def merge_group_votes(
 
 
 def batch_grids(transactions, config: EngineConfig) -> dict[str, TimeSeries]:
-    """The grids that ``detect_batch`` scores: ``build_grids`` of a
+    """The grids that ``run_batch`` scores: ``build_grids`` of a
     non-empty list of transactions."""
     if not transactions:
         raise DataError("no transactions to analyze")
@@ -750,18 +750,9 @@ def detect_grids(grids: dict[str, TimeSeries], config: EngineConfig) -> Ensemble
     return merge_group_votes(verdicts, timeline, config.alarm_categories, warnings)
 
 
-def detect_batch(
-    transactions, config: EngineConfig
-) -> tuple[dict[str, TimeSeries], EnsembleReport]:
-    """``detect_grids`` of ``batch_grids(transactions, config)``; returns
-    the grids with the report."""
-    grids = batch_grids(transactions, config)
-    return grids, detect_grids(grids, config)
-
-
 def run_batch(transactions, config: EngineConfig) -> EnsembleReport:
-    """The report of ``detect_batch``."""
-    return detect_batch(transactions, config)[1]
+    """``detect_grids`` of ``batch_grids(transactions, config)``."""
+    return detect_grids(batch_grids(transactions, config), config)
 
 
 # ---------------------------------------------------------------------------

@@ -35,16 +35,11 @@ condition (Nocedal & Wright 2006, Alg. 3.1), tried first at the
 learning rate and halved until it does, so the loss never rises.
 Training stops at the first epoch that improves the loss by at most a
 relative ``AE_TOLERANCE``, which on the engine's windows is the first
-few; the epoch count is a cap. A pass works in the bottleneck space,
-over the distinct training windows (``kernels.DistinctRows``), each
-weighted by its count: one product of the distinct windows with
-[W1; W2'] gives the pre-activation and W2'x, and the count-weighted
-Gram terms H'H, H'X and the sum of H give the gradients and the loss,
-with the float weights and the sums of x and of |x|^2 taken once per
-fit (``_ae_sums``). The pass that tests a trial step gives the next
-epoch's gradients. No pass builds the n x w output or its residual;
-one forward pass over the distinct windows after the last epoch gives
-the per-window training errors.
+few; the epoch count is a cap. A pass is a plain forward and backward
+pass over the distinct training windows (``kernels.DistinctRows``),
+each weighted by its count, and works in place: its n_d x w output
+becomes the residual and then the output delta. The pass that tests a
+trial step gives the next epoch's gradients.
 """
 
 from __future__ import annotations
@@ -326,77 +321,54 @@ class AutoencoderModel:
 
 def _ae_forward(W1, b1, W2, b2, X):
     hidden = np.tanh(X @ W1.T + b1)
-    return hidden, hidden @ W2.T + b2
+    out = hidden @ W2.T
+    out += b2
+    return hidden, out
 
 
-def _ae_sums(windows: DistinctRows):
-    """What every ``_ae_pass`` over ``windows`` takes as fixed: the
-    counts as float weights, the column sums of the input rows and the
-    sum of their squares."""
-    weights = windows.counts.astype(np.float64)
-    return weights, weights @ windows.rows, float(windows.sq @ weights)
-
-
-def _ae_pass(W1, b1, W2, b2, windows: DistinctRows, sums):
+def _ae_pass(W1, b1, W2, b2, windows: DistinctRows):
     """Mean squared reconstruction error over the distinct windows, each
-    weighted by its count, and its gradients in the bottleneck space (see
-    the module docstring); ``sums`` is ``_ae_sums(windows)``. The h x n_d
-    quantities hold one window per column. Returns (loss, (gW1, gb1,
-    gW2, gb2))."""
+    weighted by its count, and its gradients by backpropagation. The
+    output buffer is overwritten by the residual, then by the output
+    delta. Returns (loss, (gW1, gb1, gW2, gb2))."""
     X = windows.rows
-    counts, x_sum, x_sq = sums
-    total = len(windows.inverse)
-    h, w = W1.shape
-    product = np.vstack((W1, W2.T)) @ X.T
-    hidden = np.tanh(product[:h] + b1[:, None])
-    weighted = hidden * counts
-    gram = weighted @ hidden.T
-    h_sum = hidden @ counts
-    scale = 2.0 / (total * w)
-    W2tW2 = W2.T @ W2
-    # the hidden delta: W2'(out - x) = W2'W2 H + W2'b2 - W2'x, through tanh
-    delta = (W2tW2 @ hidden + (b2 @ W2)[:, None] - product[h:]) * (1.0 - hidden * hidden)
-    delta *= scale * counts
-    cross = np.vstack((weighted, delta)) @ X
-    hx = cross[:h]
-    gW1 = cross[h:]
-    gb1 = delta.sum(axis=1)
-    gW2 = scale * (W2 @ gram + np.outer(b2, h_sum) - hx.T)
-    gb2 = scale * (W2 @ h_sum + total * b2 - x_sum)
-    # the sum of |W2 H + b2 - x|^2 over the rows, expanded into the same terms
-    squares = (
-        np.sum(gram * W2tW2)
-        + 2.0 * (h_sum @ (W2.T @ b2) - np.sum(hx * W2.T) - b2 @ x_sum)
-        + total * (b2 @ b2)
-        + x_sq
+    size = len(windows.inverse) * X.shape[1]  # the entries the mean runs over
+    hidden, delta_out = _ae_forward(W1, b1, W2, b2, X)
+    delta_out -= X
+    loss = float(np.einsum("ij,ij->i", delta_out, delta_out) @ windows.counts) / size
+    delta_out *= (2.0 / size) * windows.counts[:, None]
+    delta_hidden = (delta_out @ W2) * (1.0 - hidden * hidden)
+    grads = (
+        delta_hidden.T @ X,
+        delta_hidden.sum(axis=0),
+        delta_out.T @ hidden,
+        delta_out.sum(axis=0),
     )
-    return float(squares) / (total * w), (gW1, gb1, gW2, gb2)
+    return loss, grads
 
 
 def ae_gradients(W1, b1, W2, b2, X):
     """Mean-squared-reconstruction-error gradients, in the form that
     ``ae_train`` runs."""
-    windows = DistinctRows.of(np.asarray(X, dtype=np.float64))
-    return _ae_pass(W1, b1, W2, b2, windows, _ae_sums(windows))[1]
+    return _ae_pass(W1, b1, W2, b2, DistinctRows.of(np.asarray(X, dtype=np.float64)))[1]
 
 
 def ae_loss(W1, b1, W2, b2, X):
     """Mean squared reconstruction error, in the form that ``ae_train``
     records."""
-    windows = DistinctRows.of(np.asarray(X, dtype=np.float64))
-    return _ae_pass(W1, b1, W2, b2, windows, _ae_sums(windows))[0]
+    return _ae_pass(W1, b1, W2, b2, DistinctRows.of(np.asarray(X, dtype=np.float64)))[0]
 
 
-def _ae_start(windows: DistinctRows, sums, hidden: int):
+def _ae_start(windows: DistinctRows, hidden: int):
     """Weights whose reconstruction is the rank-``hidden`` principal
     projection of the windows, up to tanh's curvature: W1 = s V', b1 =
     -W1 mu, W2 = V / s and b2 = mu, where V holds the top ``hidden``
     eigenvectors of the count-weighted covariance and s puts the tanh
     input along the top direction at a standard deviation of
     ``AE_START_SCALE``."""
-    weights, x_sum, _ = sums
+    weights = windows.counts.astype(np.float64)
     total = len(windows.inverse)
-    mean = x_sum / total
+    mean = weights @ windows.rows / total
     centred = windows.rows - mean
     eigenvalues, vectors = np.linalg.eigh((centred.T * weights) @ centred / total)
     top = vectors[:, : -hidden - 1 : -1]
@@ -406,7 +378,7 @@ def _ae_start(windows: DistinctRows, sums, hidden: int):
     return W1, -(W1 @ mean), top / scale, mean
 
 
-def _ae_descend(params, windows: DistinctRows, sums, epochs: int, learning_rate: float):
+def _ae_descend(params, windows: DistinctRows, epochs: int, learning_rate: float):
     """Full-batch gradient descent from ``params``, one Armijo step an
     epoch: the trial step starts at ``learning_rate`` and halves until
     the loss falls by ``ARMIJO_C`` times the step times the squared
@@ -415,7 +387,7 @@ def _ae_descend(params, windows: DistinctRows, sums, epochs: int, learning_rate:
     that improves the loss by at most ``AE_TOLERANCE`` of it, or that
     finds no such step in ``ARMIJO_HALVINGS`` halvings and keeps its
     weights. Returns the weights and the loss after each epoch."""
-    loss, grads = _ae_pass(*params, windows, sums)
+    loss, grads = _ae_pass(*params, windows)
     if not math.isfinite(loss):
         raise NumericError("non-finite training loss at the start")
     history = []
@@ -425,14 +397,13 @@ def _ae_descend(params, windows: DistinctRows, sums, epochs: int, learning_rate:
         new_loss = loss
         for _ in range(ARMIJO_HALVINGS):
             trial = [p - step * g for p, g in zip(params, grads)]
-            trial_loss, trial_grads = _ae_pass(*trial, windows, sums)
+            trial_loss, trial_grads = _ae_pass(*trial, windows)
             if trial_loss <= loss - ARMIJO_C * step * slope:
                 params, grads, new_loss = trial, trial_grads, trial_loss
                 break
             step /= 2.0
         history.append(new_loss)
-        # the expanded loss can round below zero on a perfect fit
-        if loss - new_loss <= AE_TOLERANCE * max(loss, 0.0):
+        if loss - new_loss <= AE_TOLERANCE * loss:
             break
         loss = new_loss
     return params, np.array(history)
@@ -453,9 +424,8 @@ def ae_train(
     if not np.all(np.isfinite(X)):
         raise NumericError("non-finite input to the autoencoder")
     train = DistinctRows.of(X)
-    sums = _ae_sums(train)
-    start = _ae_start(train, sums, hidden)
-    (W1, b1, W2, b2), history = _ae_descend(start, train, sums, epochs, learning_rate)
+    start = _ae_start(train, hidden)
+    (W1, b1, W2, b2), history = _ae_descend(start, train, epochs, learning_rate)
     _, out = _ae_forward(W1, b1, W2, b2, train.rows)
     errors = np.mean((out - train.rows) ** 2, axis=1)[train.inverse]
     return AutoencoderModel(

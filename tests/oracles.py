@@ -366,13 +366,12 @@ def naive_ae_train(X, hidden, epochs, learning_rate):
         ARMIJO_HALVINGS,
         _ae_forward,
         _ae_start,
-        _ae_sums,
         ae_gradients,
         ae_loss,
     )
 
     windows = DistinctRows.of(X)
-    params = _ae_start(windows, _ae_sums(windows), hidden)
+    params = _ae_start(windows, hidden)
     history = []
     for _ in range(epochs):
         loss = ae_loss(*params, X)
@@ -388,7 +387,7 @@ def naive_ae_train(X, hidden, epochs, learning_rate):
                 break
             step /= 2.0
         history.append(new_loss)
-        if loss - new_loss <= AE_TOLERANCE * max(loss, 0.0):
+        if loss - new_loss <= AE_TOLERANCE * loss:
             break
     _, out = _ae_forward(*params, X)
     errors = np.mean((out - X) ** 2, axis=1)

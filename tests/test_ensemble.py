@@ -8,7 +8,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ethsentinel import ensemble, kernels, predictive, synth
+from ethsentinel import clustering, ensemble, kernels, predictive, synth
 from ethsentinel.config import CLUSTERING_KINDS, PREDICTIVE_KINDS, REDUCTION_KINDS, EngineConfig
 from ethsentinel.ensemble import (
     DetectorCategory,
@@ -938,10 +938,27 @@ def test_fit_bank_builds_one_distinct_row_set_per_knn_dbscan_and_ae_detector(mon
     assert built == {"knn": 3, "dbscan": 4, "ae": 3}
 
 
+def test_kmeans_k_selection_runs_the_configured_restarts(monkeypatch):
+    # kmeans_restarts reaches the k-means runs that select k, not only
+    # the final fit
+    seen = []
+    real_kmeans = clustering._kmeans
+
+    def recorded(X, k, seed, restarts):
+        seen.append(restarts)
+        return real_kmeans(X, k, seed, restarts)
+
+    monkeypatch.setattr(clustering, "_kmeans", recorded)
+    rows = np.random.default_rng(16).standard_normal((60, 3))
+    config = EngineConfig(kmeans_k=0, kmeans_k_max=4, kmeans_restarts=2)
+    ensemble._fit_kmeans(rows, config, seed=0)
+    assert seen == [2, 2, 2, 2]  # k = 2, 3 and 4 for the selection, then the fit
+
+
 @pytest.fixture(scope="module")
 def one_day_bank():
     """The default bank's verdicts on a one-day dense stream, as
-    ``detect_batch`` fits and scores them."""
+    ``detect_grids`` fits and scores them."""
     config = EngineConfig()
     txs, _ = synth.synth_generate(synth.SynthConfig(base_rate=6.0, seed=5))
     grids = build_grids(txs, config)

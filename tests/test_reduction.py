@@ -501,6 +501,23 @@ def test_ae_train_on_degenerate_windows(case):
         assert model.loss_history[-1] <= 1e-20
 
 
+def test_ae_train_records_no_negative_loss():
+    # the loss is a count-weighted sum of squares, so no rounding takes
+    # it below zero, even where the fit is perfect
+    for seed in range(20):
+        X = np.repeat(np.random.default_rng(seed).standard_normal((3, 8)), 10, axis=0)
+        assert np.min(ae_train(X, 5, 50, 0.01).loss_history) >= 0.0
+
+
+def test_ae_pass_overwrites_its_output_buffer():
+    # the output becomes the residual and then the output delta in
+    # place: one pass holds about two copies of the windows, not four
+    _, weights = _ae_inputs("dense")
+    X = np.random.default_rng(17).standard_normal((5730, 32))
+    windows = kernels.DistinctRows.of(X)
+    assert traced_peak(lambda: reduction._ae_pass(*weights, windows)) <= 2.5 * X.nbytes
+
+
 def test_ae_train_rejects_non_finite_windows():
     X = np.random.default_rng(15).standard_normal((20, 6))
     X[3, 2] = np.nan
@@ -513,14 +530,13 @@ def test_ae_start_is_equivalent_under_an_eigenvector_sign():
     # weights moves no reconstruction, before training or after it
     X = _low_rank_windows()
     windows = kernels.DistinctRows.of(X)
-    sums = reduction._ae_sums(windows)
-    start = reduction._ae_start(windows, sums, 4)
+    start = reduction._ae_start(windows, 4)
     W1, b1, W2, b2 = (p.copy() for p in start)
     W1[1], b1[1], W2[:, 1] = -W1[1], -b1[1], -W2[:, 1]
     flipped = (W1, b1, W2, b2)
     assert ae_loss(*flipped, X) == pytest.approx(ae_loss(*start, X), rel=1e-12, abs=0.0)
-    _, history = reduction._ae_descend(start, windows, sums, 50, 0.01)
-    _, flipped_history = reduction._ae_descend(flipped, windows, sums, 50, 0.01)
+    _, history = reduction._ae_descend(start, windows, 50, 0.01)
+    _, flipped_history = reduction._ae_descend(flipped, windows, 50, 0.01)
     assert flipped_history[-1] == pytest.approx(history[-1], rel=1e-12, abs=0.0)
 
 
